@@ -114,7 +114,8 @@ def _minimize(ev, par, opts, lower, upper, log):
     code = Convergence.MAXIT_REACHED
     message = f"iteration limit of {opts.maxit} reached"
 
-    for _ in range(opts.maxit):
+    iters = 0
+    while iters < opts.maxit:
         pg = projected_gradient(par, g, lower, upper)
         pgnorm = float(np.abs(pg).max()) if pg.size else 0.0
         if method == LBFGSB:
@@ -131,7 +132,9 @@ def _minimize(ev, par, opts, lower, upper, log):
             mask = active_mask(par, g, lower, upper)
             gm = np.where(mask, 0.0, g)
             d = history.direction(gm)
-            d[mask] = 0.0
+            # also pin free coordinates on a bound face where d points out of
+            # the box (active for gradient -d); no step along them is feasible
+            d[mask | active_mask(par, -d, lower, upper)] = 0.0
             steepest = len(history) == 0
             if float(np.dot(d, g)) >= 0.0:
                 history.reset()
@@ -174,6 +177,11 @@ def _minimize(ev, par, opts, lower, upper, log):
             ls = wolfe_line_search(ev, par, f, g, d, lower, upper,
                                    c2=c2, initial_step=initial)
         except LineSearchFailure as exc:
+            if method == LBFGSB and len(history) > 0:
+                # as L-BFGS-B does: refresh the memory and retry from the
+                # same point along projected steepest descent
+                history.reset()
+                continue
             if exc.best is not None and exc.best[1] < f:
                 par, f, g = exc.best
                 if log is not None:
@@ -182,6 +190,7 @@ def _minimize(ev, par, opts, lower, upper, log):
             message = f"line search failed: {exc}"
             break
 
+        iters += 1
         if log is not None:
             log.append(ls.par, ls.value, ls.gradient)
 

@@ -6,6 +6,11 @@ stay exact.  When the one-dimensional minimum lies beyond the box, the
 capped step is accepted on sufficient decrease alone, since no longer
 step exists.  Every trial point goes through the coupled evaluator, so
 value and gradient at each trial cost one batch.
+
+An accepted step costs one extra trial only on a ray where the objective
+fits a quadratic: there the secant zero of the directional derivative is
+the exact 1-D minimizer, which gives quasi-Newton methods finite
+termination on quadratics.  Elsewhere the first Wolfe point is returned.
 """
 
 from __future__ import annotations
@@ -26,10 +31,17 @@ class LineSearchResult:
     trials: int
 
 
-# refine an accepted step once when the slope was not reduced below this
-# fraction of the initial slope; the secant refinement lands the exact 1-D
-# minimizer on quadratics, which quasi-Newton finite termination needs
+# An accepted step is refined once, by a trial at the secant zero of the
+# directional derivative, when both hold: its slope is still above this
+# fraction of the initial slope, and the accepted point and the point the
+# secant is drawn from fit one quadratic along the ray (QUADRATIC_FIT_TOL).
+# On a quadratic the secant zero is the exact 1-D minimizer, which
+# quasi-Newton finite termination needs; on any other ray it rarely beats
+# the Wolfe point already in hand and would cost one more batch.
 REFINE_RATIO = 0.02
+# relative tolerance of the trapezoid identity
+# f - f_ref = (alpha - alpha_ref) * (dphi + dphi_ref) / 2, exact for quadratics
+QUADRATIC_FIT_TOL = 1e-6
 
 
 class LineSearchFailure(Exception):
@@ -69,6 +81,14 @@ def _extend_step(alpha, dphi, alpha_prev, dphi_prev):
         if np.isfinite(t) and t > alpha:
             return min(t, 100.0 * alpha)
     return 2.0 * alpha
+
+
+def _fits_quadratic(alpha, f, dphi, alpha_ref, f_ref, dphi_ref):
+    """Whether two points of phi, with values and slopes, lie on one
+    quadratic: the trapezoid rule integrates phi' exactly between them."""
+    df = f - f_ref
+    gap = df - 0.5 * (alpha - alpha_ref) * (dphi + dphi_ref)
+    return abs(gap) <= QUADRATIC_FIT_TOL * abs(df)
 
 
 def _interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi):
@@ -112,7 +132,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     if alpha_max <= 0.0:
         raise ValueError("no feasible movement along the search direction")
 
-    state = {"trials": 0, "best": None, "refined": False}
+    state = {"trials": 0, "best": None}
 
     def trial(alpha):
         if cap is not None and alpha >= alpha_max:
@@ -126,14 +146,15 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
         return alpha, xt, f, g, float(np.dot(g, d))
 
     def accept(alpha, xt, f, g, dphi=None, ref=None):
-        """Wrap an acceptable point; when its slope reduction is poor, spend
+        """Wrap an acceptable point; when its slope reduction is poor and it
+        fits a quadratic with ref = (alpha, f, dphi) of another point, spend
         one extra trial on the secant zero of the directional derivative
         (the 1-D minimizer for quadratics) and keep whichever is better."""
-        if (dphi is not None and ref is not None and not state["refined"]
+        if (dphi is not None and ref is not None
                 and state["trials"] < max_trials
-                and abs(dphi) > REFINE_RATIO * abs(dphi0)):
-            state["refined"] = True
-            a_ref, dphi_ref = ref
+                and abs(dphi) > REFINE_RATIO * abs(dphi0)
+                and _fits_quadratic(alpha, f, dphi, *ref)):
+            a_ref, _, dphi_ref = ref
             denom = dphi - dphi_ref
             if denom != 0.0:
                 t = alpha - dphi * (alpha - a_ref) / denom
@@ -171,7 +192,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
                 a_hi, f_hi = a_j, f
             else:
                 if abs(dphi) <= -c2 * dphi0:
-                    return accept(a_j, xt, f, g, dphi, ref=(a_lo, dphi_lo))
+                    return accept(a_j, xt, f, g, dphi, ref=(a_lo, f_lo, dphi_lo))
                 if dphi * (a_hi - a_lo) >= 0.0:
                     a_hi, f_hi = a_lo, f_lo
                 a_lo, f_lo, dphi_lo, x_lo, g_lo = a_j, f, dphi, xt, g
@@ -200,7 +221,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
         if not armijo(alpha, f) or (not first and f >= f_prev):
             return zoom(alpha_prev, f_prev, dphi_prev, x_prev, g_prev, alpha, f)
         if abs(dphi) <= -c2 * dphi0:
-            return accept(alpha, xt, f, g, dphi, ref=(alpha_prev, dphi_prev))
+            return accept(alpha, xt, f, g, dphi, ref=(alpha_prev, f_prev, dphi_prev))
         if dphi >= 0.0:
             return zoom(alpha, f, dphi, xt, g, alpha_prev, f_prev)
         if alpha >= alpha_max:

@@ -126,3 +126,26 @@ def test_max_feasible_step_binds_exactly():
     assert alpha_max == 0.25
     assert cap[1] == -0.25  # the binding coordinate sits exactly on its bound
     assert cap[0] == 0.25
+
+
+def test_first_wolfe_point_on_a_non_quadratic_ray_costs_one_trial():
+    # phi(alpha) = (1 - alpha)^4: the first trial meets strong Wolfe, and the
+    # two points fit no quadratic, so no secant refinement is spent on it
+    ev = CoupledEvaluator(lambda x: float(x[0]) ** 4, 1,
+                          gradient=lambda x: np.array([4.0 * float(x[0]) ** 3]))
+    x0, f0, g0 = start(ev, [1.0])
+    ls = wolfe_line_search(ev, x0, f0, g0, np.array([-1.0]), initial_step=0.5)
+    assert ls.step == 0.5
+    assert ls.trials == 1
+    assert ev.counts().batches == 2
+
+
+def test_quadratic_ray_refines_to_the_exact_minimum():
+    # the first trial meets strong Wolfe halfway to the minimum; the secant
+    # trial lands the minimum itself
+    ev = CoupledEvaluator(sum_sq, 2, gradient=sum_sq_grad)
+    x0, f0, g0 = start(ev, [1.0, 1.0])
+    ls = wolfe_line_search(ev, x0, f0, g0, -g0, initial_step=0.25)
+    assert ls.step == 0.5
+    assert ls.par.tolist() == [0.0, 0.0]
+    assert ls.trials == 2

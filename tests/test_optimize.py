@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paropt import ConfigError, EvaluationError, OptimOptions, optimize
+from paropt.optimizers import LineSearchFailure, driver, wolfe_line_search
 
 
 def sum_sq(x):
@@ -237,3 +238,57 @@ def test_worker_count_does_not_change_results(gradient):
     assert a.value == b.value
     assert a.counts == b.counts
     assert a.code == b.code
+
+
+def test_rosenbrock_10d_batch_budget(chained_rosenbrock):
+    # most line searches accept their first trial, so batches stay close to
+    # iterations (76 here); an extra trial on every search would be ~150
+    fn, gr = chained_rosenbrock
+    x0 = np.ones(10)
+    x0[0::2] = -1.2
+    r = optimize(fn, x0, gr)
+    assert r.converged
+    assert np.abs(r.par - 1.0).max() <= 1e-4
+    assert r.counts.batches <= 100
+
+
+def test_failed_line_search_refreshes_the_lbfgs_memory(monkeypatch):
+    # with the default difference step the quasi-Newton direction from this
+    # start is too poor for the line search near the minimum; L-BFGS-B drops
+    # its memory and succeeds along projected steepest descent instead
+    failures = []
+
+    def spy(*args, **kwargs):
+        try:
+            return wolfe_line_search(*args, **kwargs)
+        except LineSearchFailure:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(driver, "wolfe_line_search", spy)
+    r = optimize(rosen, [-1.2, 0.92])
+    assert failures
+    assert r.converged
+    assert np.abs(r.par - 1.0).max() <= 5e-3
+
+
+def test_failed_line_search_without_memory_is_code_2():
+    # steepest descent is already the fallback, so the failure stands
+    r = optimize(lambda x: float(x[0]) ** 2, [1.0],
+                 lambda x: np.array([-1.0]), maxit=5)
+    assert r.code == 2
+    assert "line search failed" in r.message
+
+
+@pytest.mark.parametrize("upper", [np.full(10, 0.8), np.r_[0.5, np.full(9, np.inf)]],
+                         ids=["x<=0.8", "x[0]<=0.5"])
+def test_quasi_newton_direction_out_of_a_bound_face(upper, chained_rosenbrock,
+                                                    rosenbrock_starts):
+    # on a bound face the quasi-Newton direction can point out of the box in
+    # a coordinate the active mask leaves free; that coordinate must be pinned
+    # or no step is feasible ("no feasible movement along the search direction")
+    fn, gr = chained_rosenbrock
+    for x0 in rosenbrock_starts(10, 30, seed=7):
+        r = optimize(fn, x0, gr, lower=np.full(10, -np.inf), upper=upper)
+        assert r.code == 0, r.message
+        assert np.all(r.par <= upper)
