@@ -17,7 +17,7 @@ from .errors import ConfigError, DatasetError, DimensionError, EvaluationError
 from .gradcheck import check_gradient
 from .iterlog import format_float
 from .optimizers import LBFGSB, METHODS, OptimOptions, OptimResult, optimize
-from .problems import get_problem, problem_names
+from .problems import DATA_PROBLEMS, get_problem, problem_names
 from .stencil import CENTRAL, FORWARD
 
 DEFAULT_DATASET = dict(n=1000, mean=5.0, sd=2.0, seed=0)
@@ -37,16 +37,12 @@ def parse_eps(text: str):
     return vec if vec.size > 1 else float(vec[0])
 
 
-def parse_int_vector(text: str) -> list:
-    return [int(tok) for tok in text.split(",")]
-
-
-def parse_float_vector(text: str) -> list:
-    return [float(tok) for tok in text.split(",")]
-
-
-def parse_modes(text: str) -> tuple:
-    return tuple(text.split(","))
+def parse_list(cast):
+    """Argument type for a comma-separated list of `cast` values."""
+    def parse(text: str) -> list:
+        return [cast(tok) for tok in text.split(",")]
+    parse.__name__ = f"{cast.__name__} list"  # named in argparse's usage errors
+    return parse
 
 
 def default_workers(fallback: int) -> int:
@@ -94,7 +90,7 @@ def _resolve_problem(args):
     """Instantiate the requested problem, generating the default seeded
     dataset when a data-driven problem is run without --data."""
     data = None
-    needs_data = args.problem == "normal_negll"
+    needs_data = args.problem in DATA_PROBLEMS
     if getattr(args, "data", None) is not None:
         if not needs_data:
             raise ConfigError(f"problem {args.problem!r} takes no dataset")
@@ -155,7 +151,7 @@ def cmd_bench(args) -> int:
     config = BenchConfig(
         dims=tuple(args.dims),
         sleeps=tuple(args.sleeps),
-        modes=args.modes,
+        modes=tuple(args.modes),
         repetitions=args.reps,
         iterations=args.iters,
         workers=default_workers(7) if args.workers is None else args.workers,
@@ -175,9 +171,7 @@ def cmd_gradcheck(args) -> int:
     names = [args.problem] if args.problem is not None else problem_names()
     all_ok = True
     for name in names:
-        data = None
-        if name == "normal_negll":
-            data = gen_normal_dataset(**DEFAULT_DATASET)
+        data = gen_normal_dataset(**DEFAULT_DATASET) if name in DATA_PROBLEMS else None
         problem = get_problem(name, data=data)
         if problem.gradient is None:
             print(f"{name}: skipped (no analytic gradient)")
@@ -195,7 +189,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_problems(args) -> int:
     for name in problem_names():
-        data = gen_normal_dataset(8, seed=0) if name == "normal_negll" else None
+        data = gen_normal_dataset(8, seed=0) if name in DATA_PROBLEMS else None
         problem = get_problem(name, data=data)
         dims = "any p" if problem.p is None else f"p={problem.p}"
         print(f"{name:14s} {dims:6s} {problem.summary}")
@@ -227,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     opt.set_defaults(func=cmd_optimize)
 
     ben = sub.add_parser("bench", help="run the timing benchmark grid")
-    ben.add_argument("--dims", type=parse_int_vector, default=[1, 2, 3])
-    ben.add_argument("--sleeps", type=parse_float_vector,
+    ben.add_argument("--dims", type=parse_list(int), default=[1, 2, 3])
+    ben.add_argument("--sleeps", type=parse_list(float),
                      default=[0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 1.0])
-    ben.add_argument("--modes", type=parse_modes, default=MODES)
+    ben.add_argument("--modes", type=parse_list(str), default=MODES)
     ben.add_argument("--reps", type=int, default=5)
     ben.add_argument("--iters", type=int, default=5)
     ben.add_argument("--workers", type=int, help="pool size (default $PAROPT_WORKERS or 7)")

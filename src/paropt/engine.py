@@ -3,8 +3,10 @@
 The pool runs pure-function tasks on OS threads and hands results back in
 submission order, so outputs are bitwise-independent of pool size and of
 task completion order.  A pool of size 1 executes tasks inline on the
-submitting thread; the full batch is always drained before any error is
-raised, keeping behavior identical across pool sizes.
+submitting thread.  Every pool size follows one error policy: a task's
+Exception is held until the whole batch has drained, then the first in
+submission order is re-raised; any other BaseException (such as
+KeyboardInterrupt) propagates at once; a closed pool raises RuntimeError.
 
 Wall-clock speedup requires the objective to release the GIL while it
 works (time.sleep, I/O, numpy/BLAS kernels, other C extensions).  That
@@ -13,11 +15,20 @@ matches the pure-function contract these tasks already have to satisfy.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import ConfigError, EvaluationError
+
+
+def _outcome(task):
+    """Run one task: (result, None), or (None, exc) when it raises an
+    Exception.  Any other BaseException escapes."""
+    try:
+        return task(), None
+    except Exception as exc:  # drained; re-raised by run_batch
+        return None, exc
 
 
 class WorkerPool:
@@ -32,34 +43,31 @@ class WorkerPool:
         if size < 1:
             raise ConfigError(f"worker pool size must be >= 1, got {size}")
         self.size = size
+        self._closed = False
         self._executor = ThreadPoolExecutor(max_workers=size) if size > 1 else None
 
     def run_batch(self, tasks):
         """Run zero-arg callables, returning results in submission order.
 
-        The whole batch is drained before the first raised exception (in
-        submission order) is propagated.
+        If tasks raise Exceptions, the whole batch drains first and then the
+        first of them in submission order is re-raised.  Any other
+        BaseException, such as KeyboardInterrupt, propagates at once.  A
+        closed pool raises RuntimeError.
         """
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
         if self._executor is None:
-            outcomes = []
-            for task in tasks:
-                try:
-                    outcomes.append((task(), None))
-                except Exception as exc:  # drained; re-raised below
-                    outcomes.append((None, exc))
+            outcomes = [_outcome(task) for task in tasks]
         else:
-            futures = [self._executor.submit(task) for task in tasks]
-            wait(futures)
-            outcomes = []
-            for fut in futures:
-                exc = fut.exception()
-                outcomes.append((None, exc) if exc is not None else (fut.result(), None))
+            futures = [self._executor.submit(_outcome, task) for task in tasks]
+            outcomes = [fut.result() for fut in futures]
         for _, exc in outcomes:
             if exc is not None:
                 raise exc
         return [result for result, _ in outcomes]
 
     def close(self):
+        self._closed = True
         if self._executor is not None:
             self._executor.shutdown(wait=True)
 
@@ -74,6 +82,13 @@ class WorkerPool:
         return f"WorkerPool(size={self.size})"
 
 
+def _finite_value(value, x) -> float:
+    fv = float(value)
+    if not np.isfinite(fv):
+        raise EvaluationError(f"objective returned non-finite value {fv} at {x}", point=x)
+    return fv
+
+
 def evaluate_batch(pool: WorkerPool, objective, points) -> list[float]:
     """Evaluate the objective at every point, in parallel, results in
     submission order.
@@ -84,15 +99,7 @@ def evaluate_batch(pool: WorkerPool, objective, points) -> list[float]:
     """
     pts = [np.asarray(pt, dtype=np.float64) for pt in points]
     values = pool.run_batch([lambda x=x: objective(x) for x in pts])
-    out = []
-    for x, v in zip(pts, values):
-        fv = float(v)
-        if not np.isfinite(fv):
-            raise EvaluationError(
-                f"objective returned non-finite value {fv} at {x}", point=x
-            )
-        out.append(fv)
-    return out
+    return [_finite_value(v, x) for x, v in zip(pts, values)]
 
 
 def parallel_value_and_gradient(pool: WorkerPool, objective, gradient, par):
@@ -103,14 +110,12 @@ def parallel_value_and_gradient(pool: WorkerPool, objective, gradient, par):
     """
     x = np.asarray(par, dtype=np.float64)
     value, grad = pool.run_batch([lambda: objective(x), lambda: gradient(x)])
-    fv = float(value)
     gv = np.asarray(grad, dtype=np.float64)
     if gv.shape != x.shape:
         raise EvaluationError(
             f"gradient returned shape {gv.shape}, expected {x.shape}", point=x
         )
-    if not np.isfinite(fv):
-        raise EvaluationError(f"objective returned non-finite value {fv} at {x}", point=x)
+    fv = _finite_value(value, x)
     if not np.all(np.isfinite(gv)):
         raise EvaluationError(f"gradient returned non-finite entries {gv} at {x}", point=x)
     return fv, gv

@@ -14,7 +14,7 @@ from ..engine import WorkerPool
 from ..errors import ConfigError
 from ..evaluator import ANALYTIC, CoupledEvaluator
 from ..iterlog import IterationLog
-from ..stencil import as_parameter_vector, validate_bounds
+from ..stencil import as_parameter_vector
 from .directions import LbfgsHistory, bfgs_update, cg_direction
 from .linesearch import LineSearchFailure, wolfe_line_search
 from .options import (BFGS, CG, LBFGSB, MACHINE_EPS, Convergence, OptimOptions,
@@ -72,25 +72,23 @@ def optimize(objective, par0, gradient=None, *, options=None, pool=None,
     opts = options.validated()
 
     par = as_parameter_vector(par0)
-    lower, upper = validate_bounds(opts.lower, opts.upper, par.size)
-    par = np.clip(par, lower, upper)
-
     own_pool = pool is None
     if own_pool:
         pool = WorkerPool(opts.workers)
-    evaluator = CoupledEvaluator(objective, par.size, gradient=gradient,
-                                 scheme=opts.scheme, eps=opts.eps,
-                                 lower=lower, upper=upper, pool=pool)
-    log = IterationLog(par.size) if opts.loginfo else None
     try:
-        return _minimize(evaluator, par, opts, lower, upper, log)
+        ev = CoupledEvaluator(objective, par.size, gradient=gradient,
+                              scheme=opts.scheme, eps=opts.eps,
+                              lower=opts.lower, upper=opts.upper, pool=pool)
+        log = IterationLog(par.size) if opts.loginfo else None
+        return _minimize(ev, np.clip(par, ev.lower, ev.upper), opts, log)
     finally:
         if own_pool:
             pool.close()
 
 
-def _minimize(ev, par, opts, lower, upper, log):
+def _minimize(ev, par, opts, log):
     method = opts.method
+    lower, upper = ev.lower, ev.upper
 
     if ev.mode != ANALYTIC and np.any(lower == upper):
         # a fixed coordinate leaves no room for any difference stencil
@@ -117,17 +115,11 @@ def _minimize(ev, par, opts, lower, upper, log):
     iters = 0
     while iters < opts.maxit:
         pg = projected_gradient(par, g, lower, upper)
-        pgnorm = float(np.abs(pg).max()) if pg.size else 0.0
-        if method == LBFGSB:
-            converged_grad = pgnorm <= opts.pgtol
-        else:
-            converged_grad = pgnorm == 0.0
-        if converged_grad:
+        if float(np.abs(pg).max()) <= (opts.pgtol if method == LBFGSB else 0.0):
             code = Convergence.CONVERGED
             message = "projected gradient within tolerance"
             break
 
-        steepest = False
         if method == LBFGSB:
             mask = active_mask(par, g, lower, upper)
             gm = np.where(mask, 0.0, g)
@@ -135,19 +127,17 @@ def _minimize(ev, par, opts, lower, upper, log):
             # also pin free coordinates on a bound face where d points out of
             # the box (active for gradient -d); no step along them is feasible
             d[mask | active_mask(par, -d, lower, upper)] = 0.0
-            steepest = len(history) == 0
             if float(np.dot(d, g)) >= 0.0:
                 history.reset()
                 d = -gm
-                steepest = True
+            steepest = len(history) == 0
         elif method == BFGS:
             d = -(hessian @ g)
-            steepest = first_update
             if float(np.dot(d, g)) >= 0.0:
                 hessian = np.eye(par.size)
                 first_update = True
                 d = -g
-                steepest = True
+            steepest = first_update
         else:
             if steps_since_restart >= par.size:
                 prev_g = prev_d = None

@@ -15,6 +15,7 @@ termination on quadratics.  Elsewhere the first Wolfe point is returned.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +140,8 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
             alpha, xt = alpha_max, cap.copy()
         else:
             xt = np.clip(x0 + alpha * d, lower, upper)
-        f, g = evaluator.value_and_gradient(xt)
         state["trials"] += 1
+        f, g = evaluator.value_and_gradient(xt)
         if state["best"] is None or f < state["best"][1]:
             state["best"] = (xt, f, g)
         return alpha, xt, f, g, float(np.dot(g, d))
@@ -159,14 +160,11 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
             if denom != 0.0:
                 t = alpha - dphi * (alpha - a_ref) / denom
                 if np.isfinite(t) and t > 0.0 and t != alpha:
-                    try:
+                    with suppress(EvaluationError):  # keep the point in hand
                         t, xt2, f2, g2, dphi2 = trial(t)
-                    except EvaluationError:
-                        state["trials"] += 1
-                        return LineSearchResult(alpha, xt, f, g, state["trials"])
-                    if (armijo(t, f2) and abs(dphi2) <= -c2 * dphi0
-                            and abs(dphi2) < abs(dphi)):
-                        return LineSearchResult(t, xt2, f2, g2, state["trials"])
+                        if (armijo(t, f2) and abs(dphi2) <= -c2 * dphi0
+                                and abs(dphi2) < abs(dphi)):
+                            return LineSearchResult(t, xt2, f2, g2, state["trials"])
         return LineSearchResult(alpha, xt, f, g, state["trials"])
 
     def fail(reason):
@@ -185,7 +183,6 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
             try:
                 a_j, xt, f, g, dphi = trial(a_j)
             except EvaluationError:
-                state["trials"] += 1
                 a_hi, f_hi = a_j, None
                 continue
             if not armijo(a_j, f) or f >= f_lo:
@@ -213,7 +210,6 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
         try:
             alpha, xt, f, g, dphi = trial(alpha)
         except EvaluationError:
-            state["trials"] += 1
             alpha = alpha_prev + 0.5 * (alpha - alpha_prev)
             if alpha <= alpha_prev:
                 fail("objective is non-finite arbitrarily close to the current point")

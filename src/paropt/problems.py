@@ -3,7 +3,7 @@ negative log-likelihood.
 
 Each entry is a ProblemSpec bundling the objective, an optional analytic
 gradient, default bounds, and a conventional starting point.  Problems
-flagged ``requires_data`` cannot be instantiated without a dataset.
+named in DATA_PROBLEMS cannot be instantiated without a dataset.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ _REGISTRY = {
     "sleep": lambda data=None: _sleep_registry_entry(),
 }
 
+DATA_PROBLEMS = frozenset({"normal_negll"})  # builders that need a dataset
+
 
 def problem_names() -> list[str]:
     return list(_REGISTRY)
@@ -139,6 +141,6 @@ def get_problem(name: str, data=None) -> ProblemSpec:
     except KeyError:
         raise ConfigError(
             f"unknown problem {name!r}; available: {', '.join(_REGISTRY)}") from None
-    if name == "normal_negll" and data is None:
-        raise DatasetError("problem 'normal_negll' requires a dataset")
+    if name in DATA_PROBLEMS and data is None:
+        raise DatasetError(f"problem {name!r} requires a dataset")
     return builder(data)

@@ -56,10 +56,6 @@ class Stencil:
     plus_index: np.ndarray
     minus_index: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
 
 def as_parameter_vector(values, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float64 vector, optionally checking length."""

@@ -65,6 +65,31 @@ def test_first_error_in_submission_order_wins():
             pool.run_batch([slow_fail, fast_fail])
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_interrupt_propagates_past_an_earlier_error(size):
+    # an Exception is held until the batch drains; KeyboardInterrupt is not
+    def boom():
+        raise RuntimeError("ordinary failure")
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    with WorkerPool(size) as pool:
+        with pytest.raises(KeyboardInterrupt):
+            pool.run_batch([boom, interrupt])
+        assert pool.run_batch([lambda: 1, lambda: 2]) == [1, 2]
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_closed_pool_refuses_batches(size):
+    ran = []
+    pool = WorkerPool(size)
+    pool.close()
+    with pytest.raises(RuntimeError, match="worker pool is closed"):
+        pool.run_batch([lambda: ran.append(1)])
+    assert ran == []
+
+
 def test_pool_size_must_be_positive():
     with pytest.raises(ConfigError):
         WorkerPool(0)

@@ -93,6 +93,18 @@ def test_nonfinite_stencil_point_raises_with_location():
     assert err.value.point[0] == pytest.approx(0.501)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_difference_quotient_overflow_raises():
+    # every stencil value is finite, but their difference overflows to inf
+    def obj(x):
+        return 1e308 if x[0] > 0.5 else -1e308
+
+    ev = make_coupled_evaluator(obj, 1)
+    with pytest.raises(EvaluationError, match="gradient") as err:
+        ev.value([0.5])
+    assert err.value.point.tolist() == [0.5]
+
+
 def test_nonfinite_analytic_gradient_raises():
     ev = make_coupled_evaluator(sum_sq, 1, gradient=lambda x: np.array([np.inf]))
     with pytest.raises(EvaluationError):
