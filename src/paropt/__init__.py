@@ -2,17 +2,17 @@
 objective/gradient evaluation, finite-difference stencils executed as
 worker-pool batches, iteration logging, and a timing benchmark."""
 
-from .bench import BenchConfig, BenchRow, emit_bench_csv, run_benchmark, sleep_problem
+from .bench import BenchConfig, BenchRow, emit_bench_csv, run_benchmark
 from .data import gen_normal_dataset, load_dataset
 from .engine import WorkerPool, evaluate_batch, parallel_value_and_gradient
 from .errors import (ConfigError, DatasetError, DegenerateBoundsError,
                      DimensionError, EvaluationError)
-from .evaluator import ANALYTIC, CoupledEvaluator, EvalCounts, EvalRecord, make_coupled_evaluator
+from .evaluator import ANALYTIC, CoupledEvaluator, EvalCounts, make_coupled_evaluator
 from .gradcheck import GradCheckReport, GradCheckRow, agreement_tolerance, check_gradient
 from .iterlog import IterationLog, LogRow, format_float
 from .optimizers import (BFGS, CG, LBFGSB, METHODS, Convergence, OptimOptions,
                          OptimResult, optimize)
-from .problems import ProblemSpec, get_problem, problem_names
+from .problems import ProblemSpec, get_problem, problem_names, sleep_problem
 from .stencil import CENTRAL, FORWARD, Stencil, StencilPoint, build_stencil
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "DegenerateBoundsError",
     "DimensionError",
     "EvalCounts",
-    "EvalRecord",
     "EvaluationError",
     "FORWARD",
     "GradCheckReport",

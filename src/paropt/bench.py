@@ -14,12 +14,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import WorkerPool
 from .errors import ConfigError
 from .optimizers import LBFGSB, OptimOptions, optimize
-from .problems import ProblemSpec
+from .problems import sleep_problem
 from .stencil import CENTRAL, FORWARD
 from .iterlog import format_float
 
@@ -32,32 +30,6 @@ MODES = (SERIAL_ANALYTIC, SERIAL_APPROX, PARALLEL_ANALYTIC,
          PARALLEL_APPROX, PARALLEL_FORWARD)
 
 BENCH_CSV_HEADER = "mode,p,sleep,rep,elapsed_per_iter,batches,fn_calls"
-
-
-def sleep_problem(p: int, sleep_s: float) -> ProblemSpec:
-    """Quadratic whose objective and gradient each stall for sleep_s seconds.
-
-    The stall models expensive model evaluations; sleeping releases the
-    interpreter lock, so parallel stencil evaluation overlaps the waits.
-    """
-    if p < 1:
-        raise ConfigError(f"need p >= 1, got {p}")
-    if sleep_s < 0:
-        raise ConfigError(f"need sleep_s >= 0, got {sleep_s}")
-
-    def objective(par):
-        if sleep_s > 0:
-            time.sleep(sleep_s)
-        return float(np.dot(par, par))
-
-    def gradient(par):
-        if sleep_s > 0:
-            time.sleep(sleep_s)
-        return 2.0 * np.asarray(par, dtype=np.float64)
-
-    return ProblemSpec("sleep", objective, gradient, p=p,
-                       par0=np.full(p, 0.1),
-                       summary=f"sum of squares with a {sleep_s}s stall per call")
 
 
 @dataclass(frozen=True)

@@ -55,24 +55,9 @@ def default_workers(fallback: int) -> int:
         raise ConfigError(f"PAROPT_WORKERS must be an integer, got {raw!r}") from None
 
 
-def result_report(result: OptimResult, elapsed_s=None) -> str:
-    """Human-readable result block mirroring the fields of the JSON form."""
-    lines = [
-        "par: " + " ".join(format_float(v) for v in result.par),
-        "value: " + format_float(result.value),
-        f"convergence: {result.code}",
-        f"message: {result.message}",
-        f"fn_calls: {result.counts.fn_calls}",
-        f"gr_calls: {result.counts.gr_calls}",
-        f"batches: {result.counts.batches}",
-    ]
-    if elapsed_s is not None:
-        lines.append(f"elapsed: {elapsed_s:.6g} s")
-    return "\n".join(lines)
-
-
-def result_json(result: OptimResult, elapsed_s=None) -> str:
-    doc = {
+def result_fields(result: OptimResult) -> dict:
+    """The reported fields of a result, in output order."""
+    return {
         "par": [float(v) for v in result.par],
         "value": float(result.value),
         "convergence": result.code,
@@ -81,27 +66,47 @@ def result_json(result: OptimResult, elapsed_s=None) -> str:
         "gr_calls": result.counts.gr_calls,
         "batches": result.counts.batches,
     }
+
+
+def result_report(result: OptimResult, elapsed_s=None) -> str:
+    """Human-readable result block mirroring the fields of the JSON form."""
+    fields = result_fields(result)
+    fields["par"] = " ".join(format_float(v) for v in fields["par"])
+    fields["value"] = format_float(fields["value"])
+    lines = [f"{name}: {value}" for name, value in fields.items()]
+    if elapsed_s is not None:
+        lines.append(f"elapsed: {elapsed_s:.6g} s")
+    return "\n".join(lines)
+
+
+def result_json(result: OptimResult, elapsed_s=None) -> str:
+    doc = result_fields(result)
     if elapsed_s is not None:
         doc["elapsed_s"] = elapsed_s
     return json.dumps(doc)
 
 
+def _default_problem(name: str):
+    """The registered problem, bound to the default seeded dataset when it
+    needs data."""
+    data = gen_normal_dataset(**DEFAULT_DATASET) if name in DATA_PROBLEMS else None
+    return get_problem(name, data=data)
+
+
 def _resolve_problem(args):
     """Instantiate the requested problem, generating the default seeded
     dataset when a data-driven problem is run without --data."""
-    data = None
     needs_data = args.problem in DATA_PROBLEMS
-    if getattr(args, "data", None) is not None:
+    if args.data is not None:
         if not needs_data:
             raise ConfigError(f"problem {args.problem!r} takes no dataset")
-        data = load_dataset(args.data)
-    elif needs_data:
-        data = gen_normal_dataset(**DEFAULT_DATASET)
+        return get_problem(args.problem, data=load_dataset(args.data))
+    if needs_data:
         print(f"note: no --data given, using a generated dataset "
               f"(n={DEFAULT_DATASET['n']}, mean={DEFAULT_DATASET['mean']}, "
               f"sd={DEFAULT_DATASET['sd']}, seed={DEFAULT_DATASET['seed']})",
               file=sys.stderr)
-    return get_problem(args.problem, data=data)
+    return _default_problem(args.problem)
 
 
 def cmd_optimize(args) -> int:
@@ -111,30 +116,19 @@ def cmd_optimize(args) -> int:
         raise ConfigError(f"problem {args.problem!r} has no default start; pass --par0")
     problem.check_dimension(par0)
 
-    method = args.method
-    lower = args.lower
-    upper = args.upper
-    if method == LBFGSB:
+    lower, upper = args.lower, args.upper
+    if args.method == LBFGSB:
         # problem-supplied bounds are defaults; explicit flags win
-        lower = lower if lower is not None else problem.lower
-        upper = upper if upper is not None else problem.upper
+        lower = problem.lower if lower is None else lower
+        upper = problem.upper if upper is None else upper
+    # an explicit scheme asks for finite differences
+    gradient = problem.gradient if args.scheme is None else None
 
-    gradient = problem.gradient
-    scheme = CENTRAL
-    if args.scheme is not None:
-        scheme = args.scheme
-        gradient = None  # an explicit scheme asks for finite differences
-
-    kwargs = dict(method=method, maxit=args.maxit, scheme=scheme,
-                  workers=default_workers(1) if args.workers is None else args.workers,
-                  loginfo=args.loginfo or args.log_out is not None)
-    if lower is not None:
-        kwargs["lower"] = lower
-    if upper is not None:
-        kwargs["upper"] = upper
-    if args.eps is not None:
-        kwargs["eps"] = args.eps
-    options = OptimOptions(**kwargs)
+    options = OptimOptions(
+        method=args.method, lower=lower, upper=upper, maxit=args.maxit,
+        eps=args.eps, scheme=args.scheme or CENTRAL,
+        workers=default_workers(1) if args.workers is None else args.workers,
+        loginfo=args.loginfo or args.log_out is not None)
 
     start = time.perf_counter()
     result = optimize(problem.objective, par0, gradient, options=options)
@@ -171,8 +165,7 @@ def cmd_gradcheck(args) -> int:
     names = [args.problem] if args.problem is not None else problem_names()
     all_ok = True
     for name in names:
-        data = gen_normal_dataset(**DEFAULT_DATASET) if name in DATA_PROBLEMS else None
-        problem = get_problem(name, data=data)
+        problem = _default_problem(name)
         if problem.gradient is None:
             print(f"{name}: skipped (no analytic gradient)")
             continue
@@ -189,8 +182,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_problems(args) -> int:
     for name in problem_names():
-        data = gen_normal_dataset(8, seed=0) if name in DATA_PROBLEMS else None
-        problem = get_problem(name, data=data)
+        problem = _default_problem(name)
         dims = "any p" if problem.p is None else f"p={problem.p}"
         print(f"{name:14s} {dims:6s} {problem.summary}")
     return 0
@@ -210,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--method", choices=list(METHODS), default=LBFGSB)
     opt.add_argument("--lower", type=parse_vector, help="lower bounds (inf ok)")
     opt.add_argument("--upper", type=parse_vector, help="upper bounds (inf ok)")
-    opt.add_argument("--eps", type=parse_eps, help="finite-difference step")
+    opt.add_argument("--eps", type=parse_eps, default=OptimOptions.eps,
+                     help="finite-difference step")
     opt.add_argument("--scheme", choices=[CENTRAL, FORWARD],
                      help="force finite differences with this stencil")
     opt.add_argument("--maxit", type=int, default=100)
@@ -250,10 +243,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, DatasetError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationError as exc:

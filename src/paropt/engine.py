@@ -56,11 +56,8 @@ class WorkerPool:
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
-        if self._executor is None:
-            outcomes = [_outcome(task) for task in tasks]
-        else:
-            futures = [self._executor.submit(_outcome, task) for task in tasks]
-            outcomes = [fut.result() for fut in futures]
+        run = map if self._executor is None else self._executor.map
+        outcomes = list(run(_outcome, tasks))
         for _, exc in outcomes:
             if exc is not None:
                 raise exc

@@ -3,7 +3,7 @@
 Requesting the value or the gradient at some parameters triggers exactly
 one (possibly parallel) evaluation of both; the companion query at the
 same parameters is then served from the cache.  The cache holds only the
-most recent record and is keyed on bitwise equality of the full parameter
+most recent evaluation and is keyed on bitwise equality of the full parameter
 vector, so any change in any coordinate forces a fresh evaluation batch.
 """
 
@@ -18,15 +18,6 @@ from .engine import WorkerPool, evaluate_batch, parallel_value_and_gradient
 from .errors import ConfigError, EvaluationError
 
 ANALYTIC = "analytic"
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """A parameter vector with its objective value and gradient."""
-
-    par: np.ndarray
-    value: float
-    gradient: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,26 +74,19 @@ class CoupledEvaluator:
         self._fn_calls = 0
         self._gr_calls = 0
         self._batches = 0
-        self._cache: EvalRecord | None = None
-
-    # -- cache -------------------------------------------------------------
-
-    def _cached(self, par: np.ndarray) -> EvalRecord | None:
-        rec = self._cache
-        if rec is not None and rec.par.tobytes() == par.tobytes():
-            return rec
-        return None
+        # the last evaluation, keyed on the bytes of its parameter vector
+        self._key = self._value = self._grad = None
 
     # -- evaluation --------------------------------------------------------
 
     def value_and_gradient(self, par) -> tuple[float, np.ndarray]:
         """Objective value and gradient at par, from cache or one fresh batch."""
         x = st.as_parameter_vector(par, self.dim)
-        rec = self._cached(x)
-        if rec is None:
-            rec = self._evaluate(x)
-            self._cache = rec
-        return rec.value, rec.gradient.copy()
+        key = x.tobytes()
+        if key != self._key:
+            self._value, self._grad = self._evaluate(x)
+            self._key = key
+        return self._value, self._grad.copy()
 
     def value(self, par) -> float:
         """Objective value at par; a cache miss evaluates both fn and gr."""
@@ -119,9 +103,8 @@ class CoupledEvaluator:
         room); served from the cache when the point was already evaluated.
         """
         x = st.as_parameter_vector(par, self.dim)
-        rec = self._cached(x)
-        if rec is not None:
-            return rec.value
+        if x.tobytes() == self._key:
+            return self._value
         self._batches += 1
         self._fn_calls += 1
         return evaluate_batch(self.pool, self._objective, [x])[0]
@@ -132,7 +115,7 @@ class CoupledEvaluator:
 
     # -- internals ----------------------------------------------------------
 
-    def _evaluate(self, x: np.ndarray) -> EvalRecord:
+    def _evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.mode == ANALYTIC:
             self._batches += 1
             self._fn_calls += 1
@@ -153,7 +136,7 @@ class CoupledEvaluator:
                 raise EvaluationError(
                     f"gradient has non-finite entries {grad} at {x}", point=x
                 )
-        return EvalRecord(par=x.copy(), value=value, gradient=grad)
+        return value, grad
 
     def close(self):
         if self._owns_pool:

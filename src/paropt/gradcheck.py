@@ -12,6 +12,7 @@ from .stencil import CENTRAL, as_parameter_vector, validate_bounds
 
 ABS_FLOOR = 1e-6
 REL_FACTOR = 1e-4
+MARGIN = 1e-2  # distance kept from each bound by sampled points
 
 
 def agreement_tolerance(gradient: np.ndarray) -> float:
@@ -48,16 +49,16 @@ class GradCheckReport:
 
 
 def sample_feasible_points(center, count, seed, lower=None, upper=None,
-                           spread=1.0, margin=1e-2):
+                           spread=1.0):
     """Uniform draws in a box of half-width spread around center, pushed
-    inside the bounds by margin so stencils stay two-sided."""
+    inside the bounds by MARGIN so stencils stay two-sided."""
     center = as_parameter_vector(center)
     lo, hi = validate_bounds(lower, upper, center.size)
     rng = np.random.Generator(np.random.PCG64(seed))
     points = []
     for _ in range(count):
         x = center + rng.uniform(-spread, spread, size=center.size)
-        points.append(np.clip(x, lo + margin, hi - margin))
+        points.append(np.clip(x, lo + MARGIN, hi - MARGIN))
     return points
 
 

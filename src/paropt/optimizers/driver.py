@@ -8,11 +8,13 @@ batch laws exactly and parallel execution never changes the arithmetic.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from ..engine import WorkerPool
-from ..errors import ConfigError
-from ..evaluator import ANALYTIC, CoupledEvaluator
+from ..errors import ConfigError, DegenerateBoundsError
+from ..evaluator import CoupledEvaluator
 from ..iterlog import IterationLog
 from ..stencil import as_parameter_vector
 from .directions import LbfgsHistory, bfgs_update, cg_direction
@@ -72,33 +74,26 @@ def optimize(objective, par0, gradient=None, *, options=None, pool=None,
     opts = options.validated()
 
     par = as_parameter_vector(par0)
-    own_pool = pool is None
-    if own_pool:
-        pool = WorkerPool(opts.workers)
-    try:
+    with WorkerPool(opts.workers) if pool is None else nullcontext(pool) as pool:
         ev = CoupledEvaluator(objective, par.size, gradient=gradient,
                               scheme=opts.scheme, eps=opts.eps,
                               lower=opts.lower, upper=opts.upper, pool=pool)
         log = IterationLog(par.size) if opts.loginfo else None
         return _minimize(ev, np.clip(par, ev.lower, ev.upper), opts, log)
-    finally:
-        if own_pool:
-            pool.close()
 
 
 def _minimize(ev, par, opts, log):
     method = opts.method
     lower, upper = ev.lower, ev.upper
 
-    if ev.mode != ANALYTIC and np.any(lower == upper):
+    try:
+        f, g = ev.value_and_gradient(par)
+    except DegenerateBoundsError:
         # a fixed coordinate leaves no room for any difference stencil
-        value = ev.objective_value(par)
-        return OptimResult(par=par, value=value, counts=ev.counts(),
-                           convergence=Convergence.DEGENERATE,
+        return OptimResult(par=par, value=ev.objective_value(par),
+                           counts=ev.counts(), convergence=Convergence.DEGENERATE,
                            message="bounds fix a coordinate, finite differences are degenerate",
                            log=log)
-
-    f, g = ev.value_and_gradient(par)
     if log is not None:
         log.append(par, f, g)
 

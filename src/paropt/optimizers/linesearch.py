@@ -32,6 +32,9 @@ class LineSearchResult:
     trials: int
 
 
+# sufficient-decrease constant of the Armijo condition
+ARMIJO_C1 = 1e-4
+
 # An accepted step is refined once, by a trial at the secant zero of the
 # directional derivative, when both hold: its slope is still above this
 # fraction of the initial slope, and the accepted point and the point the
@@ -109,7 +112,7 @@ def _interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi):
 
 
 def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
-                      c1=1e-4, c2=0.9, initial_step=1.0,
+                      c2=0.9, initial_step=1.0,
                       max_trials=20) -> LineSearchResult:
     """Find a step satisfying the strong Wolfe conditions along d.
 
@@ -171,7 +174,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
         raise LineSearchFailure(reason, best=state["best"], trials=state["trials"])
 
     def armijo(alpha, f):
-        return f <= f0 + c1 * alpha * dphi0
+        return f <= f0 + ARMIJO_C1 * alpha * dphi0
 
     def zoom(a_lo, f_lo, dphi_lo, x_lo, g_lo, a_hi, f_hi):
         # invariant: a_lo has sufficient decrease and the interval brackets

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +57,10 @@ class OptimOptions:
     def validated(self) -> "OptimOptions":
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if int(self.maxit) < 1:
-            raise ConfigError(f"maxit must be >= 1, got {self.maxit}")
-        if int(self.memory_m) < 1:
-            raise ConfigError(f"memory_m must be >= 1, got {self.memory_m}")
-        if int(self.workers) < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for name in ("maxit", "memory_m", "workers"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         for name in ("factr", "pgtol", "reltol"):
             v = float(getattr(self, name))
             if not np.isfinite(v) or v < 0:

@@ -8,6 +8,7 @@ named in DATA_PROBLEMS cannot be instantiated without a dataset.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -109,18 +110,38 @@ def normal_negll_problem(data) -> ProblemSpec:
                        summary="normal-sample negative log-likelihood in (mu, sigma); needs data")
 
 
-def _sleep_registry_entry() -> ProblemSpec:
-    from .bench import sleep_problem
+def sleep_problem(p: int, sleep_s: float) -> ProblemSpec:
+    """Quadratic whose objective and gradient each stall for sleep_s seconds.
 
-    # registry entry carries no delay; the benchmark injects real sleeps
-    return sleep_problem(2, 0.0)
+    The stall models expensive model evaluations; sleeping releases the
+    interpreter lock, so parallel stencil evaluation overlaps the waits.
+    """
+    if p < 1:
+        raise ConfigError(f"need p >= 1, got {p}")
+    if sleep_s < 0:
+        raise ConfigError(f"need sleep_s >= 0, got {sleep_s}")
+
+    def objective(par):
+        if sleep_s > 0:
+            time.sleep(sleep_s)
+        return float(np.dot(par, par))
+
+    def gradient(par):
+        if sleep_s > 0:
+            time.sleep(sleep_s)
+        return 2.0 * np.asarray(par, dtype=np.float64)
+
+    return ProblemSpec("sleep", objective, gradient, p=p,
+                       par0=np.full(p, 0.1),
+                       summary=f"sum of squares with a {sleep_s}s stall per call")
 
 
 _REGISTRY = {
     "quadratic": lambda data=None: quadratic_problem(),
     "rosenbrock": lambda data=None: rosenbrock_problem(),
     "normal_negll": lambda data=None: normal_negll_problem(data),
-    "sleep": lambda data=None: _sleep_registry_entry(),
+    # the registry entry carries no delay; the benchmark injects real sleeps
+    "sleep": lambda data=None: sleep_problem(2, 0.0),
 }
 
 DATA_PROBLEMS = frozenset({"normal_negll"})  # builders that need a dataset

@@ -93,7 +93,7 @@ def test_nonfinite_stencil_point_raises_with_location():
     assert err.value.point[0] == pytest.approx(0.501)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_difference_quotient_overflow_raises():
     # every stencil value is finite, but their difference overflows to inf
     def obj(x):

@@ -198,6 +198,8 @@ def test_options_and_overrides_are_exclusive():
 @pytest.mark.parametrize("bad", [
     dict(method="newton"),
     dict(maxit=0),
+    dict(maxit="5"),
+    dict(maxit=2.5),
     dict(workers=0),
     dict(memory_m=0),
     dict(factr=-1.0),

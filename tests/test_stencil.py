@@ -133,3 +133,7 @@ def test_bounds_validation():
         validate_bounds([0.0, 2.0], [1.0, 1.0], 2)
     with pytest.raises(ConfigError):
         validate_bounds([np.nan, 0.0], None, 2)
+    with pytest.raises(DimensionError):
+        validate_bounds([0.0], None, 2)
+    with pytest.raises(DimensionError):
+        validate_bounds(None, [1.0, 2.0, 3.0], 2)
