@@ -65,7 +65,7 @@ class CoupledEvaluator:
         self._objective = objective
         self._gradient = gradient
         self.mode = ANALYTIC if gradient is not None else scheme
-        if gradient is None and scheme not in (st.CENTRAL, st.FORWARD):
+        if gradient is None and scheme not in st.SCHEMES:
             raise ConfigError(f"unknown difference scheme {scheme!r}")
         self.eps = st.validate_eps(eps, self.dim)
         self.lower, self.upper = st.validate_bounds(lower, upper, self.dim)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..engine import WorkerPool
 from ..errors import ConfigError, DegenerateBoundsError
-from ..evaluator import CoupledEvaluator
+from ..evaluator import ANALYTIC, CoupledEvaluator
 from ..iterlog import IterationLog
 from ..stencil import as_parameter_vector
 from .directions import LbfgsHistory, bfgs_update, cg_direction
@@ -171,8 +171,14 @@ def _minimize(ev, par, opts, log):
                 par, f, g = exc.best
                 if log is not None:
                     log.append(par, f, g)
-            code = Convergence.LINE_SEARCH_FAILURE
-            message = f"line search failed: {exc}"
+            if exc.rounded and steepest and ev.mode != ANALYTIC:
+                # the difference gradient's error swamps the slope: no
+                # representable step decreases the objective along it
+                code = Convergence.CONVERGED
+                message = "no decrease along the difference gradient before the step rounds to zero"
+            else:
+                code = Convergence.LINE_SEARCH_FAILURE
+                message = f"line search failed: {exc}"
             break
 
         iters += 1

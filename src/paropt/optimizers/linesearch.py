@@ -15,6 +15,7 @@ termination on quadratics.  Elsewhere the first Wolfe point is returned.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -51,10 +52,11 @@ QUADRATIC_FIT_TOL = 1e-6
 class LineSearchFailure(Exception):
     """No acceptable step was found; carries the best finite point seen."""
 
-    def __init__(self, message, best=None, trials=0):
+    def __init__(self, message, best=None, trials=0, rounded=False):
         super().__init__(message)
         self.best = best  # (par, value, gradient) or None
         self.trials = trials
+        self.rounded = rounded  # the next trial point rounded onto x0
 
 
 def max_feasible_step(x, d, lower, upper):
@@ -95,20 +97,29 @@ def _fits_quadratic(alpha, f, dphi, alpha_ref, f_ref, dphi_ref):
     return abs(gap) <= QUADRATIC_FIT_TOL * abs(df)
 
 
-def _interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi):
-    """Minimizer of the quadratic through (a_lo, f_lo, dphi_lo) and
-    (a_hi, f_hi); falls back to bisection when the model is unusable."""
+def _interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi, dphi_hi):
+    """Minimizer of the cubic through (a_lo, f_lo, dphi_lo) and (a_hi, f_hi,
+    dphi_hi), clamped to [0.1, 0.9] of the bracket from a_lo.  The quadratic
+    through (a_lo, f_lo, dphi_lo) and (a_hi, f_hi) stands in when the cubic
+    has no minimizer or the points fit a quadratic (the same model, without
+    dphi_hi's error); bisection when f_hi is unknown or neither model has one."""
     width = a_hi - a_lo
     if f_hi is None or width == 0.0:
         return a_lo + 0.5 * width
-    c = (f_hi - f_lo - dphi_lo * width) / (width * width)
-    if c <= 0.0 or not np.isfinite(c):
-        return a_lo + 0.5 * width
-    t = -dphi_lo / (2.0 * c)
-    frac = t / width
-    if not np.isfinite(frac) or frac < 0.1 or frac > 0.9:
-        return a_lo + 0.5 * width
-    return a_lo + t
+    t = math.nan
+    # Nocedal and Wright, eq. 3.59; t stays NaN without a real minimizer
+    gap = f_hi - f_lo - 0.5 * width * (dphi_lo + dphi_hi) if dphi_hi is not None else 0.0
+    if abs(gap) > QUADRATIC_FIT_TOL * abs(width * dphi_lo):
+        d1 = dphi_lo + dphi_hi - 3.0 * (f_hi - f_lo) / width
+        with suppress(ValueError, ZeroDivisionError):
+            d2 = math.copysign(math.sqrt(d1 * d1 - dphi_lo * dphi_hi), width)
+            t = width - width * (dphi_hi + d2 - d1) / (dphi_hi - dphi_lo + 2.0 * d2)
+    if not math.isfinite(t):
+        c = ((f_hi - f_lo) / width - dphi_lo) / width
+        if c <= 0.0 or not math.isfinite(c):
+            return a_lo + 0.5 * width
+        t = -dphi_lo / (2.0 * c)
+    return a_lo + min(max(t / width, 0.1), 0.9) * width
 
 
 def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
@@ -119,7 +130,8 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     Trial points are x0 + alpha*d truncated to the box; the point at the
     feasible cap has its binding coordinates set exactly to their bounds.
     Raises LineSearchFailure after max_trials evaluations without an
-    acceptable step, and ValueError when d is not a descent direction.
+    acceptable step or, with `rounded` set, when a zoom trial would round
+    onto x0; and ValueError when d is not a descent direction.
     Non-finite objective values at a trial cause a backtrack and retry.
     """
     x0 = np.asarray(x0, dtype=np.float64)
@@ -138,11 +150,12 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
 
     state = {"trials": 0, "best": None}
 
-    def trial(alpha):
+    def point(alpha):
         if cap is not None and alpha >= alpha_max:
-            alpha, xt = alpha_max, cap.copy()
-        else:
-            xt = np.clip(x0 + alpha * d, lower, upper)
+            return alpha_max, cap.copy()
+        return alpha, np.clip(x0 + alpha * d, lower, upper)
+
+    def trial(alpha, xt):
         state["trials"] += 1
         f, g = evaluator.value_and_gradient(xt)
         if state["best"] is None or f < state["best"][1]:
@@ -164,37 +177,43 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
                 t = alpha - dphi * (alpha - a_ref) / denom
                 if np.isfinite(t) and t > 0.0 and t != alpha:
                     with suppress(EvaluationError):  # keep the point in hand
-                        t, xt2, f2, g2, dphi2 = trial(t)
+                        t, xt2, f2, g2, dphi2 = trial(*point(t))
                         if (armijo(t, f2) and abs(dphi2) <= -c2 * dphi0
                                 and abs(dphi2) < abs(dphi)):
                             return LineSearchResult(t, xt2, f2, g2, state["trials"])
         return LineSearchResult(alpha, xt, f, g, state["trials"])
 
-    def fail(reason):
-        raise LineSearchFailure(reason, best=state["best"], trials=state["trials"])
+    def fail(reason, rounded=False):
+        raise LineSearchFailure(reason, state["best"], state["trials"], rounded)
 
     def armijo(alpha, f):
         return f <= f0 + ARMIJO_C1 * alpha * dphi0
 
-    def zoom(a_lo, f_lo, dphi_lo, x_lo, g_lo, a_hi, f_hi):
+    def zoom(a_lo, f_lo, dphi_lo, x_lo, g_lo, a_hi, f_hi, dphi_hi):
         # invariant: a_lo has sufficient decrease and the interval brackets
-        # a Wolfe point; f_hi is None after a non-finite trial at a_hi
+        # a Wolfe point; f_hi and dphi_hi are None after a non-finite trial
+        # at a_hi; x_lo is None exactly when a_lo is 0
         while state["trials"] < max_trials:
             if abs(a_hi - a_lo) <= 1e-14 * max(1.0, abs(a_lo)):
                 break
-            a_j = _interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi)
+            a_j, xt = point(_interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi, dphi_hi))
+            # a trial that rounds onto the low point would only repeat it
+            if xt.tobytes() == (x0 if x_lo is None else x_lo).tobytes():
+                if x_lo is None:
+                    fail("no decrease before the step rounds to zero", rounded=True)
+                break
             try:
-                a_j, xt, f, g, dphi = trial(a_j)
+                a_j, xt, f, g, dphi = trial(a_j, xt)
             except EvaluationError:
-                a_hi, f_hi = a_j, None
+                a_hi, f_hi, dphi_hi = a_j, None, None
                 continue
             if not armijo(a_j, f) or f >= f_lo:
-                a_hi, f_hi = a_j, f
+                a_hi, f_hi, dphi_hi = a_j, f, dphi
             else:
                 if abs(dphi) <= -c2 * dphi0:
                     return accept(a_j, xt, f, g, dphi, ref=(a_lo, f_lo, dphi_lo))
                 if dphi * (a_hi - a_lo) >= 0.0:
-                    a_hi, f_hi = a_lo, f_lo
+                    a_hi, f_hi, dphi_hi = a_lo, f_lo, dphi_lo
                 a_lo, f_lo, dphi_lo, x_lo, g_lo = a_j, f, dphi, xt, g
         # interval exhausted: fall back to the sufficient-decrease point
         if a_lo > 0.0 and x_lo is not None and armijo(a_lo, f_lo):
@@ -211,18 +230,18 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     first = True
     while state["trials"] < max_trials:
         try:
-            alpha, xt, f, g, dphi = trial(alpha)
+            alpha, xt, f, g, dphi = trial(*point(alpha))
         except EvaluationError:
             alpha = alpha_prev + 0.5 * (alpha - alpha_prev)
             if alpha <= alpha_prev:
                 fail("objective is non-finite arbitrarily close to the current point")
             continue
         if not armijo(alpha, f) or (not first and f >= f_prev):
-            return zoom(alpha_prev, f_prev, dphi_prev, x_prev, g_prev, alpha, f)
+            return zoom(alpha_prev, f_prev, dphi_prev, x_prev, g_prev, alpha, f, dphi)
         if abs(dphi) <= -c2 * dphi0:
             return accept(alpha, xt, f, g, dphi, ref=(alpha_prev, f_prev, dphi_prev))
         if dphi >= 0.0:
-            return zoom(alpha, f, dphi, xt, g, alpha_prev, f_prev)
+            return zoom(alpha, f, dphi, xt, g, alpha_prev, f_prev, dphi_prev)
         if alpha >= alpha_max:
             # still descending at the box face; no longer step exists
             return accept(alpha, xt, f, g)

@@ -11,6 +11,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..evaluator import EvalCounts
 from ..iterlog import IterationLog
+from ..stencil import SCHEMES
 
 LBFGSB = "lbfgsb"
 BFGS = "bfgs"
@@ -55,8 +56,10 @@ class OptimOptions:
     loginfo: bool = False
 
     def validated(self) -> "OptimOptions":
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        for name, allowed in (("method", METHODS), ("scheme", SCHEMES)):
+            v = getattr(self, name)
+            if v not in allowed:
+                raise ConfigError(f"unknown {name} {v!r}, expected one of {allowed}")
         for name in ("maxit", "memory_m", "workers"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or v < 1:

@@ -76,8 +76,10 @@ def rosenbrock_problem() -> ProblemSpec:
 def normal_negll_problem(data) -> ProblemSpec:
     """Negative log-likelihood of an i.i.d. normal sample, par = (mu, sigma).
 
-    The default lower bound keeps sigma >= 1e-4; outside sigma > 0 the
-    objective is +inf so unbounded methods backtrack instead of crashing.
+    Outside sigma > 0 the objective is +inf, which line search trials back
+    off from; but unbounded, a start within eps of sigma = 0 puts the first
+    difference stencil there, and optimize raises EvaluationError.  The
+    default lower bound (sigma >= 1e-4) avoids that by clamping the stencil.
     """
     x = np.asarray(data, dtype=np.float64).ravel()
     if x.size == 0:

@@ -21,7 +21,7 @@ from .errors import ConfigError, DegenerateBoundsError, DimensionError
 CENTRAL = "central"
 FORWARD = "forward"
 
-_SCHEMES = (CENTRAL, FORWARD)
+SCHEMES = (CENTRAL, FORWARD)
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
     """
     x = as_parameter_vector(center)
     p = x.size
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"unknown difference scheme {scheme!r}, expected one of {_SCHEMES}")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown difference scheme {scheme!r}, expected one of {SCHEMES}")
     h = validate_eps(eps, p)
     lo, hi = validate_bounds(lower, upper, p)
     if np.any(x < lo) or np.any(x > hi):

@@ -2,6 +2,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and keep tier-1 fast
+settings.register_profile("paropt", derandomize=True, database=None, deadline=None,
+                          max_examples=40)
+settings.load_profile("paropt")
 
 
 @pytest.fixture

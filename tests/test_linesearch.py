@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paropt import CoupledEvaluator
 from paropt.optimizers import LineSearchFailure, wolfe_line_search
-from paropt.optimizers.linesearch import max_feasible_step
+from paropt.optimizers.linesearch import _interpolate, max_feasible_step
 
 
 def sum_sq(x):
@@ -147,5 +149,66 @@ def test_quadratic_ray_refines_to_the_exact_minimum():
     x0, f0, g0 = start(ev, [1.0, 1.0])
     ls = wolfe_line_search(ev, x0, f0, g0, -g0, initial_step=0.25)
     assert ls.step == 0.5
+    assert ls.par.tolist() == [0.0, 0.0]
+    assert ls.trials == 2
+
+
+def test_zoom_trial_lands_on_the_minimizer_of_a_cubic_ray():
+    # phi(alpha) = alpha^3 - 3 alpha, minimum at 1; the first trial at 2 fails
+    # Armijo, and the cubic through both ends' values and slopes is phi itself
+    ev = CoupledEvaluator(lambda x: float(x[0] ** 3 - 3.0 * x[0]), 1,
+                          gradient=lambda x: np.array([3.0 * x[0] ** 2 - 3.0]))
+    x0, f0, g0 = start(ev, [0.0])
+    ls = wolfe_line_search(ev, x0, f0, g0, np.array([1.0]), initial_step=2.0)
+    assert ls.trials == 2
+    assert ls.step == pytest.approx(1.0, rel=1e-12)
+
+
+def test_zoom_clamps_a_minimizer_near_the_low_end(counted):
+    # the model's minimizer sits at 3% of the bracket [0, 1]; the trial goes
+    # to 10% of it instead of bisecting
+    obj = counted(lambda x: float((x[0] - 0.03) ** 2))
+    ev = CoupledEvaluator(obj, 1, gradient=lambda x: np.array([2.0 * (x[0] - 0.03)]))
+    x0, f0, g0 = start(ev, [0.0])
+    wolfe_line_search(ev, x0, f0, g0, np.array([1.0]), initial_step=1.0)
+    assert [float(c[0]) for c in obj.calls[:3]] == [0.0, 1.0, 0.1]
+
+
+def test_zoom_stops_when_the_trial_rounds_onto_the_start(counted):
+    # the objective rises along d although the gradient claims descent, so
+    # the bracket shrinks toward 0 until x0 + alpha*d rounds to x0 = 1e4
+    # (its spacing is 1.8e-12, before the bracket's width reaches 1e-14)
+    obj = counted(lambda x: float(x[0]) ** 2)
+    ev = CoupledEvaluator(obj, 1, gradient=lambda x: np.array([-1.0]))
+    x0, f0, g0 = start(ev, [1e4])
+    with pytest.raises(LineSearchFailure, match="rounds to zero") as err:
+        wolfe_line_search(ev, x0, f0, g0, np.array([1.0]))
+    assert err.value.rounded
+    assert err.value.trials < 20
+    assert [float(c[0]) for c in obj.calls].count(1e4) == 1  # x0 is never a trial
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(a_lo=finite, a_hi=finite, f_lo=finite, dphi_lo=finite,
+       f_hi=st.none() | finite, dphi_hi=st.none() | finite)
+def test_interpolate_stays_in_the_middle_of_the_bracket(a_lo, a_hi, f_lo, dphi_lo,
+                                                        f_hi, dphi_hi):
+    width = a_hi - a_lo
+    a = _interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi, dphi_hi)
+    if f_hi is None:
+        assert a == a_lo + 0.5 * width
+    else:
+        ends = sorted((a_lo + 0.1 * width, a_lo + 0.9 * width))
+        assert ends[0] <= a <= ends[1]
+
+
+def test_zoom_on_a_quadratic_ray_leaves_out_the_high_slope():
+    # difference-gradient slopes carry rounding error; on a quadratic ray the
+    # zoom's quadratic model needs only the low one, and lands the minimum
+    ev = CoupledEvaluator(sum_sq, 2)
+    x0, f0, g0 = start(ev, [0.1, 0.1])
+    ls = wolfe_line_search(ev, x0, f0, g0, -g0)
     assert ls.par.tolist() == [0.0, 0.0]
     assert ls.trials == 2

@@ -205,6 +205,7 @@ def test_options_and_overrides_are_exclusive():
     dict(factr=-1.0),
     dict(pgtol=-0.5),
     dict(eps=0.0),
+    dict(scheme="bogus"),
 ])
 def test_invalid_options_rejected(bad):
     with pytest.raises(ConfigError):
@@ -244,7 +245,7 @@ def test_worker_count_does_not_change_results(gradient):
 
 def test_rosenbrock_10d_batch_budget(chained_rosenbrock):
     # most line searches accept their first trial, so batches stay close to
-    # iterations (76 here); an extra trial on every search would be ~150
+    # iterations (71 here); an extra trial on every search would be ~150
     fn, gr = chained_rosenbrock
     x0 = np.ones(10)
     x0[0::2] = -1.2
@@ -255,23 +256,37 @@ def test_rosenbrock_10d_batch_budget(chained_rosenbrock):
 
 
 def test_failed_line_search_refreshes_the_lbfgs_memory(monkeypatch):
-    # with the default difference step the quasi-Newton direction from this
-    # start is too poor for the line search near the minimum; L-BFGS-B drops
-    # its memory and succeeds along projected steepest descent instead
+    # the third search runs on a non-empty memory; when it fails, L-BFGS-B
+    # drops the memory and retries from the same point along steepest descent
     failures = []
+    calls = []
 
-    def spy(*args, **kwargs):
-        try:
-            return wolfe_line_search(*args, **kwargs)
-        except LineSearchFailure:
+    def spy(ev, par, f, g, d, *args, **kwargs):
+        calls.append((par, g, d))
+        if len(calls) == 3:
             failures.append(1)
-            raise
+            raise LineSearchFailure("injected failure")
+        return wolfe_line_search(ev, par, f, g, d, *args, **kwargs)
 
     monkeypatch.setattr(driver, "wolfe_line_search", spy)
     r = optimize(rosen, [-1.2, 0.92])
     assert failures
     assert r.converged
     assert np.abs(r.par - 1.0).max() <= 5e-3
+    (par, g, d), (retry_par, retry_g, retry_d) = calls[2], calls[3]
+    assert not np.array_equal(d, -g)
+    assert retry_par.tobytes() == par.tobytes()
+    assert np.array_equal(retry_d, -retry_g)
+
+
+def test_difference_gradient_noise_floor_is_converged():
+    # near the minimum the default step's difference gradient is too poor to
+    # give a decrease; the search shrinks until its step rounds to zero
+    r = optimize(rosen, [-1.2, 1.0])
+    assert r.code == 0
+    assert r.message == ("no decrease along the difference gradient "
+                         "before the step rounds to zero")
+    assert np.abs(r.par - 1.0).max() <= 1e-3
 
 
 def test_failed_line_search_without_memory_is_code_2():

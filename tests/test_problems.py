@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from paropt import ConfigError, DatasetError, get_problem, optimize, problem_names
+from paropt import (ConfigError, DatasetError, EvaluationError, get_problem, optimize,
+                    problem_names)
 from paropt.problems import LOG_2PI, normal_negll_problem
 
 
@@ -48,6 +49,23 @@ def test_negll_matches_direct_formula():
     expect = (3.0 * np.log(sigma) + 1.5 * LOG_2PI
               + float(resid @ resid) / (2.0 * sigma * sigma))
     assert prob.objective([mu, sigma]) == pytest.approx(expect, rel=1e-15)
+
+
+@pytest.mark.parametrize("method", ["lbfgsb", "bfgs", "cg"])
+def test_negll_stencil_reaches_zero_sigma_without_bounds(method):
+    # the first central stencil's minus point lands on sigma = 0 before any
+    # line search can back off from it
+    prob = normal_negll_problem(np.array([3.0, 4.0, 6.0]))
+    with pytest.raises(EvaluationError):
+        optimize(prob.objective, [4.0, 1e-3], method=method)
+
+
+def test_negll_default_lower_bound_clamps_the_stencil():
+    data = np.array([3.0, 4.0, 6.0])
+    prob = normal_negll_problem(data)
+    r = optimize(prob.objective, [4.0, 1e-3], lower=prob.lower)
+    assert r.code == 0, r.message
+    assert abs(r.par[0] - data.mean()) <= 1e-3
 
 
 def test_negll_gradient_vanishes_at_the_estimate():
