@@ -97,11 +97,7 @@ def _minimize(ev, par, opts, log):
     if log is not None:
         log.append(par, f, g)
 
-    history = LbfgsHistory(opts.memory_m) if method == LBFGSB else None
-    hessian = np.eye(par.size) if method == BFGS else None
-    first_update = True
-    prev_g = prev_d = None
-    steps_since_restart = 0
+    drop_memory = True
     prev_drop = None
 
     code = Convergence.MAXIT_REACHED
@@ -115,63 +111,55 @@ def _minimize(ev, par, opts, log):
             message = "projected gradient within tolerance"
             break
 
+        if drop_memory or (method == CG and steps_since_restart >= par.size):
+            # each method's curvature memory: the L-BFGS pairs, the BFGS
+            # inverse Hessian (None is the unscaled identity), or CG's
+            # previous gradient and direction
+            history = LbfgsHistory(opts.memory_m)
+            hessian = prev_g = prev_d = None
+            steps_since_restart = 0
+            drop_memory = False
+        steepest = len(history) == 0 and hessian is None and prev_g is None
+
         if method == LBFGSB:
             mask = active_mask(par, g, lower, upper)
-            gm = np.where(mask, 0.0, g)
-            d = history.direction(gm)
+            d = history.direction(np.where(mask, 0.0, g))
             # also pin free coordinates on a bound face where d points out of
             # the box (active for gradient -d); no step along them is feasible
             d[mask | active_mask(par, -d, lower, upper)] = 0.0
-            if float(np.dot(d, g)) >= 0.0:
-                history.reset()
-                d = -gm
-            steepest = len(history) == 0
         elif method == BFGS:
-            d = -(hessian @ g)
-            if float(np.dot(d, g)) >= 0.0:
-                hessian = np.eye(par.size)
-                first_update = True
-                d = -g
-            steepest = first_update
+            d = -g if hessian is None else -(hessian @ g)
         else:
-            if steps_since_restart >= par.size:
-                prev_g = prev_d = None
-                steps_since_restart = 0
             d = cg_direction(g, prev_g, prev_d)
-            steepest = prev_g is None
 
         dphi0 = float(np.dot(d, g))
-        if dphi0 >= 0.0:
-            code = Convergence.LINE_SEARCH_FAILURE
-            message = "no descent direction available"
-            break
-
-        if method == CG and prev_drop is not None and prev_drop > 0.0:
-            initial = 2.02 * prev_drop / (-dphi0)
-            if not np.isfinite(initial) or initial <= 0.0:
-                initial = 1.0
-            initial = min(1.0, initial)
-        elif steepest:
-            dinf = float(np.abs(d).max())
-            initial = min(1.0, 1.0 / dinf) if dinf > 0.0 else 1.0
-        else:
-            initial = 1.0
-
         c2 = 0.1 if method == CG else 0.9
         try:
+            if not dphi0 < 0.0:
+                raise LineSearchFailure("no descent direction available")
+            if method == CG and prev_drop is not None and prev_drop > 0.0:
+                initial = 2.02 * prev_drop / (-dphi0)
+                if not np.isfinite(initial) or initial <= 0.0:
+                    initial = 1.0
+                initial = min(1.0, initial)
+            elif steepest:
+                dinf = float(np.abs(d).max())
+                initial = min(1.0, 1.0 / dinf) if dinf > 0.0 else 1.0
+            else:
+                initial = 1.0
             ls = wolfe_line_search(ev, par, f, g, d, lower, upper,
                                    c2=c2, initial_step=initial)
         except LineSearchFailure as exc:
-            if method == LBFGSB and len(history) > 0:
-                # as L-BFGS-B does: refresh the memory and retry from the
-                # same point along projected steepest descent
-                history.reset()
+            if not steepest:
+                # as optim's L-BFGS-B, BFGS and CG do: drop the memory and
+                # retry from the same point along projected steepest descent
+                drop_memory = True
                 continue
             if exc.best is not None and exc.best[1] < f:
                 par, f, g = exc.best
                 if log is not None:
                     log.append(par, f, g)
-            if exc.rounded and steepest and ev.mode != ANALYTIC:
+            if exc.rounded and ev.mode != ANALYTIC:
                 # the difference gradient's error swamps the slope: no
                 # representable step decreases the objective along it
                 code = Convergence.CONVERGED
@@ -190,9 +178,7 @@ def _minimize(ev, par, opts, log):
         if method == LBFGSB:
             history.update(s, y)
         elif method == BFGS:
-            if bool(np.dot(s, y) > 0.0):
-                hessian = bfgs_update(hessian, s, y, first=first_update)
-                first_update = False
+            hessian = bfgs_update(hessian, s, y, first=hessian is None)
         else:
             prev_g, prev_d = g, d
             steps_since_restart += 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paropt import ConfigError, EvaluationError, OptimOptions, optimize
 from paropt.optimizers import LineSearchFailure, driver, wolfe_line_search
@@ -255,46 +257,64 @@ def test_rosenbrock_10d_batch_budget(chained_rosenbrock):
     assert r.counts.batches <= 100
 
 
-def test_failed_line_search_refreshes_the_lbfgs_memory(monkeypatch):
-    # the third search runs on a non-empty memory; when it fails, L-BFGS-B
-    # drops the memory and retries from the same point along steepest descent
-    failures = []
+@pytest.mark.parametrize("method, failing", [("lbfgsb", 3), ("bfgs", 3), ("cg", 2)],
+                         ids=["lbfgsb", "bfgs", "cg"])
+def test_failed_line_search_refreshes_the_memory(monkeypatch, method, failing):
+    # the failing search runs on curvature memory (L-BFGS pairs, the BFGS
+    # inverse Hessian, CG's previous direction; CG restarts on its third
+    # search in 2-D); when it fails, the method drops the memory and retries
+    # from the same point along steepest descent
     calls = []
 
     def spy(ev, par, f, g, d, *args, **kwargs):
         calls.append((par, g, d))
-        if len(calls) == 3:
-            failures.append(1)
+        if len(calls) == failing:
             raise LineSearchFailure("injected failure")
         return wolfe_line_search(ev, par, f, g, d, *args, **kwargs)
 
     monkeypatch.setattr(driver, "wolfe_line_search", spy)
-    r = optimize(rosen, [-1.2, 0.92])
-    assert failures
+    r = optimize(rosen, [-1.2, 0.92], method=method, maxit=1000)
+    assert "injected" not in r.message
     assert r.converged
     assert np.abs(r.par - 1.0).max() <= 5e-3
-    (par, g, d), (retry_par, retry_g, retry_d) = calls[2], calls[3]
+    (par, g, d), (retry_par, retry_g, retry_d) = calls[failing - 1], calls[failing]
     assert not np.array_equal(d, -g)
     assert retry_par.tobytes() == par.tobytes()
     assert np.array_equal(retry_d, -retry_g)
 
 
-def test_difference_gradient_noise_floor_is_converged():
+@pytest.mark.parametrize("method", ["lbfgsb", "bfgs"])
+def test_difference_gradient_noise_floor_is_converged(method):
     # near the minimum the default step's difference gradient is too poor to
     # give a decrease; the search shrinks until its step rounds to zero
-    r = optimize(rosen, [-1.2, 1.0])
+    r = optimize(rosen, [-1.2, 1.0], method=method)
     assert r.code == 0
     assert r.message == ("no decrease along the difference gradient "
                          "before the step rounds to zero")
     assert np.abs(r.par - 1.0).max() <= 1e-3
 
 
-def test_failed_line_search_without_memory_is_code_2():
+@pytest.mark.parametrize("method", ["lbfgsb", "bfgs", "cg"])
+def test_failed_line_search_without_memory_is_code_2(method):
     # steepest descent is already the fallback, so the failure stands
     r = optimize(lambda x: float(x[0]) ** 2, [1.0],
-                 lambda x: np.array([-1.0]), maxit=5)
+                 lambda x: np.array([-1.0]), method=method, maxit=5)
     assert r.code == 2
     assert "line search failed" in r.message
+
+
+@settings(max_examples=10)
+@given(method=st.sampled_from(["bfgs", "cg"]),
+       jitter=st.tuples(*[st.floats(-0.1, 0.1)] * 2))
+@example(method="bfgs", jitter=(0.0, 0.0))  # a failed search there is retried
+def test_rosenbrock_is_bitwise_the_same_on_1_and_3_workers(method, jitter):
+    # central differences at the default eps reach the noise floor, where
+    # quasi-Newton and conjugate searches fail and are retried
+    a, b = [optimize(rosen, np.add([-1.2, 1.0], jitter), method=method,
+                     workers=w, loginfo=True) for w in (1, 3)]
+    assert a.par.tobytes() == b.par.tobytes()
+    assert (a.value, a.code, a.message, a.counts) == (b.value, b.code, b.message, b.counts)
+    assert a.log.to_csv() == b.log.to_csv()
 
 
 @pytest.mark.parametrize("upper", [np.full(10, 0.8), np.r_[0.5, np.full(9, np.inf)]],
