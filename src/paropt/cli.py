@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .bench import MODES, BenchConfig, emit_bench_csv, run_benchmark
+from .bench import BenchConfig, emit_bench_csv, run_benchmark
 from .data import gen_normal_dataset, load_dataset
 from .errors import ConfigError, DatasetError, DimensionError, EvaluationError
 from .gradcheck import check_gradient
@@ -127,7 +127,7 @@ def cmd_optimize(args) -> int:
     options = OptimOptions(
         method=args.method, lower=lower, upper=upper, maxit=args.maxit,
         eps=args.eps, scheme=args.scheme or CENTRAL,
-        workers=default_workers(1) if args.workers is None else args.workers,
+        workers=default_workers(OptimOptions.workers) if args.workers is None else args.workers,
         loginfo=args.loginfo or args.log_out is not None)
 
     start = time.perf_counter()
@@ -148,7 +148,7 @@ def cmd_bench(args) -> int:
         modes=tuple(args.modes),
         repetitions=args.reps,
         iterations=args.iters,
-        workers=default_workers(7) if args.workers is None else args.workers,
+        workers=default_workers(BenchConfig.workers) if args.workers is None else args.workers,
     )
     rows = run_benchmark(config, progress=lambda msg: print(msg, file=sys.stderr))
     csv_text = emit_bench_csv(rows)
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="finite-difference step")
     opt.add_argument("--scheme", choices=[CENTRAL, FORWARD],
                      help="force finite differences with this stencil")
-    opt.add_argument("--maxit", type=int, default=100)
+    opt.add_argument("--maxit", type=int, default=OptimOptions.maxit)
     opt.add_argument("--workers", type=int, help="pool size (default $PAROPT_WORKERS or 1)")
     opt.add_argument("--loginfo", action="store_true", help="record the iteration path")
     opt.add_argument("--log-out", help="write the iteration log CSV here")
@@ -214,12 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     opt.set_defaults(func=cmd_optimize)
 
     ben = sub.add_parser("bench", help="run the timing benchmark grid")
-    ben.add_argument("--dims", type=parse_list(int), default=[1, 2, 3])
-    ben.add_argument("--sleeps", type=parse_list(float),
-                     default=[0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 1.0])
-    ben.add_argument("--modes", type=parse_list(str), default=MODES)
-    ben.add_argument("--reps", type=int, default=5)
-    ben.add_argument("--iters", type=int, default=5)
+    ben.add_argument("--dims", type=parse_list(int), default=BenchConfig.dims)
+    ben.add_argument("--sleeps", type=parse_list(float), default=BenchConfig.sleeps)
+    ben.add_argument("--modes", type=parse_list(str), default=BenchConfig.modes)
+    ben.add_argument("--reps", type=int, default=BenchConfig.repetitions)
+    ben.add_argument("--iters", type=int, default=BenchConfig.iterations)
     ben.add_argument("--workers", type=int, help="pool size (default $PAROPT_WORKERS or 7)")
     ben.add_argument("--out", help="write CSV here instead of stdout")
     ben.set_defaults(func=cmd_bench)

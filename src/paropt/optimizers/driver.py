@@ -119,7 +119,7 @@ def _minimize(ev, par, opts, log):
             hessian = prev_g = prev_d = None
             steps_since_restart = 0
             drop_memory = False
-        steepest = len(history) == 0 and hessian is None and prev_g is None
+        steepest = len(history) == 0 and hessian is None
 
         if method == LBFGSB:
             mask = active_mask(par, g, lower, upper)
@@ -131,6 +131,8 @@ def _minimize(ev, par, opts, log):
             d = -g if hessian is None else -(hessian @ g)
         else:
             d = cg_direction(g, prev_g, prev_d)
+            # also -g when the Fletcher-Reeves direction is not downhill
+            steepest = np.array_equal(d, -g)
 
         dphi0 = float(np.dot(d, g))
         c2 = 0.1 if method == CG else 0.9

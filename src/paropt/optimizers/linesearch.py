@@ -1,11 +1,13 @@
 """Strong Wolfe line search over a bound-constrained segment.
 
-The search direction is truncated to the feasible segment [0, alpha_max]
-of the box, so every trial point is feasible and directional derivatives
-stay exact.  When the one-dimensional minimum lies beyond the box, the
-capped step is accepted on sufficient decrease alone, since no longer
-step exists.  Every trial point goes through the coupled evaluator, so
-value and gradient at each trial cost one batch.
+The direction is truncated to the feasible segment [0, alpha_max] of the
+box, so every trial point is feasible, and each trial's value and gradient
+cost one batch of the coupled evaluator.  One loop runs every trial over a
+bracket [lo, hi], as optim's L-BFGS-B does (More and Thuente, 1994).
+While hi is open, steps grow by secant extrapolation up to the cap, where
+a step that still descends is accepted.  A trial without sufficient
+decrease, not below lo, or with a non-finite value closes the bracket;
+later trials interpolate inside it.
 
 An accepted step costs one extra trial only on a ray where the objective
 fits a quadratic: there the secant zero of the directional derivative is
@@ -77,16 +79,18 @@ def max_feasible_step(x, d, lower, upper):
     return alpha_max, cap
 
 
+def _secant(alpha, dphi, alpha_ref, dphi_ref):
+    """Zero of the line through two slopes of phi, the 1-D minimizer exactly
+    when phi is quadratic along the ray; NaN when the slopes are equal."""
+    denom = dphi - dphi_ref
+    return alpha - dphi * (alpha - alpha_ref) / denom if denom != 0.0 else math.nan
+
+
 def _extend_step(alpha, dphi, alpha_prev, dphi_prev):
-    """Next longer trial via a secant step on the directional derivative,
-    which lands on the 1-D minimizer exactly when the objective is
-    quadratic along the ray; falls back to doubling otherwise."""
-    denom = dphi - dphi_prev
-    if denom > 0.0:
-        t = alpha - dphi * (alpha - alpha_prev) / denom
-        if np.isfinite(t) and t > alpha:
-            return min(t, 100.0 * alpha)
-    return 2.0 * alpha
+    """Next longer trial: the secant zero when it lies beyond alpha, at most
+    100 alpha; else double alpha."""
+    t = _secant(alpha, dphi, alpha_prev, dphi_prev)
+    return min(t, 100.0 * alpha) if math.isfinite(t) and t > alpha else 2.0 * alpha
 
 
 def _fits_quadratic(alpha, f, dphi, alpha_ref, f_ref, dphi_ref):
@@ -130,16 +134,14 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     Trial points are x0 + alpha*d truncated to the box; the point at the
     feasible cap has its binding coordinates set exactly to their bounds.
     Raises LineSearchFailure after max_trials evaluations without an
-    acceptable step or, with `rounded` set, when a zoom trial would round
-    onto x0; and ValueError when d is not a descent direction.
-    Non-finite objective values at a trial cause a backtrack and retry.
+    acceptable step or, with `rounded` set, when a trial inside the bracket
+    would round onto x0; and ValueError when d is not a descent direction.
+    A trial with a non-finite objective value closes the bracket there.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    if lower is None:
-        lower = np.full(x0.shape, -np.inf)
-    if upper is None:
-        upper = np.full(x0.shape, np.inf)
+    lower = np.full(x0.shape, -np.inf) if lower is None else lower
+    upper = np.full(x0.shape, np.inf) if upper is None else upper
     dphi0 = float(np.dot(g0, d))
     if dphi0 >= 0.0:
         raise ValueError(f"line search requires a descent direction, got d.g = {dphi0}")
@@ -163,24 +165,20 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
         return alpha, xt, f, g, float(np.dot(g, d))
 
     def accept(alpha, xt, f, g, dphi=None, ref=None):
-        """Wrap an acceptable point; when its slope reduction is poor and it
-        fits a quadratic with ref = (alpha, f, dphi) of another point, spend
-        one extra trial on the secant zero of the directional derivative
-        (the 1-D minimizer for quadratics) and keep whichever is better."""
+        """Wrap an acceptable point.  When its slope reduction is poor and it
+        fits a quadratic with ref = (alpha, f, dphi), spend one trial on the
+        secant zero short of any non-finite step; keep the better point."""
         if (dphi is not None and ref is not None
                 and state["trials"] < max_trials
                 and abs(dphi) > REFINE_RATIO * abs(dphi0)
                 and _fits_quadratic(alpha, f, dphi, *ref)):
-            a_ref, _, dphi_ref = ref
-            denom = dphi - dphi_ref
-            if denom != 0.0:
-                t = alpha - dphi * (alpha - a_ref) / denom
-                if np.isfinite(t) and t > 0.0 and t != alpha:
-                    with suppress(EvaluationError):  # keep the point in hand
-                        t, xt2, f2, g2, dphi2 = trial(*point(t))
-                        if (armijo(t, f2) and abs(dphi2) <= -c2 * dphi0
-                                and abs(dphi2) < abs(dphi)):
-                            return LineSearchResult(t, xt2, f2, g2, state["trials"])
+            t = _secant(alpha, dphi, ref[0], ref[2])
+            if math.isfinite(t) and 0.0 < t < a_nonfinite and t != alpha:
+                with suppress(EvaluationError):  # keep the point in hand
+                    t, xt2, f2, g2, dphi2 = trial(*point(t))
+                    if (armijo(t, f2) and abs(dphi2) <= -c2 * dphi0
+                            and abs(dphi2) < abs(dphi)):
+                        return LineSearchResult(t, xt2, f2, g2, state["trials"])
         return LineSearchResult(alpha, xt, f, g, state["trials"])
 
     def fail(reason, rounded=False):
@@ -189,11 +187,19 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     def armijo(alpha, f):
         return f <= f0 + ARMIJO_C1 * alpha * dphi0
 
-    def zoom(a_lo, f_lo, dphi_lo, x_lo, g_lo, a_hi, f_hi, dphi_hi):
-        # invariant: a_lo has sufficient decrease and the interval brackets
-        # a Wolfe point; f_hi and dphi_hi are None after a non-finite trial
-        # at a_hi; x_lo is None exactly when a_lo is 0
-        while state["trials"] < max_trials:
+    # lo is the best trial so far and has sufficient decrease (x_lo is None
+    # exactly when a_lo is 0); hi is open (a_hi None) until a trial fails to
+    # improve on lo, and f_hi and dphi_hi are None after a non-finite trial
+    a_lo, f_lo, dphi_lo, x_lo, g_lo = 0.0, f0, dphi0, None, None
+    a_hi = f_hi = dphi_hi = None
+    a_nonfinite = math.inf  # the shortest step with a non-finite value
+    alpha = min(float(initial_step), alpha_max)
+    if alpha <= 0.0:
+        alpha = alpha_max if np.isfinite(alpha_max) else 1.0
+    while state["trials"] < max_trials:
+        if a_hi is None:
+            a_j, xt = point(alpha)
+        else:
             if abs(a_hi - a_lo) <= 1e-14 * max(1.0, abs(a_lo)):
                 break
             a_j, xt = point(_interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi, dphi_hi))
@@ -202,52 +208,31 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
                 if x_lo is None:
                     fail("no decrease before the step rounds to zero", rounded=True)
                 break
-            try:
-                a_j, xt, f, g, dphi = trial(a_j, xt)
-            except EvaluationError:
-                a_hi, f_hi, dphi_hi = a_j, None, None
-                continue
-            if not armijo(a_j, f) or f >= f_lo:
-                a_hi, f_hi, dphi_hi = a_j, f, dphi
-            else:
-                if abs(dphi) <= -c2 * dphi0:
-                    return accept(a_j, xt, f, g, dphi, ref=(a_lo, f_lo, dphi_lo))
-                if dphi * (a_hi - a_lo) >= 0.0:
-                    a_hi, f_hi, dphi_hi = a_lo, f_lo, dphi_lo
-                a_lo, f_lo, dphi_lo, x_lo, g_lo = a_j, f, dphi, xt, g
-        # interval exhausted: fall back to the sufficient-decrease point
-        if a_lo > 0.0 and x_lo is not None and armijo(a_lo, f_lo):
-            return accept(a_lo, x_lo, f_lo, g_lo)
-        if state["trials"] >= max_trials:
-            fail(f"no acceptable step within {max_trials} trials")
-        fail("zoom interval collapsed without an acceptable step")
-
-    alpha_prev, f_prev, dphi_prev = 0.0, f0, dphi0
-    x_prev, g_prev = None, None
-    alpha = min(float(initial_step), alpha_max)
-    if alpha <= 0.0:
-        alpha = alpha_max if np.isfinite(alpha_max) else 1.0
-    first = True
-    while state["trials"] < max_trials:
         try:
-            alpha, xt, f, g, dphi = trial(*point(alpha))
+            a_j, xt, f, g, dphi = trial(a_j, xt)
         except EvaluationError:
-            alpha = alpha_prev + 0.5 * (alpha - alpha_prev)
-            if alpha <= alpha_prev:
-                fail("objective is non-finite arbitrarily close to the current point")
+            a_hi = a_nonfinite = a_j
+            f_hi = dphi_hi = None
             continue
-        if not armijo(alpha, f) or (not first and f >= f_prev):
-            return zoom(alpha_prev, f_prev, dphi_prev, x_prev, g_prev, alpha, f, dphi)
+        # extrapolating from the start, Armijo alone judges the decrease: its
+        # bound rounds to f0 when alpha*dphi0 is tiny, and longer steps may help
+        if not armijo(a_j, f) or (f >= f_lo and (x_lo is not None or a_hi is not None)):
+            a_hi, f_hi, dphi_hi = a_j, f, dphi
+            continue
         if abs(dphi) <= -c2 * dphi0:
-            return accept(alpha, xt, f, g, dphi, ref=(alpha_prev, f_prev, dphi_prev))
-        if dphi >= 0.0:
-            return zoom(alpha, f, dphi, xt, g, alpha_prev, f_prev, dphi_prev)
-        if alpha >= alpha_max:
-            # still descending at the box face; no longer step exists
-            return accept(alpha, xt, f, g)
-        next_alpha = min(_extend_step(alpha, dphi, alpha_prev, dphi_prev), alpha_max)
-        alpha_prev, f_prev, dphi_prev = alpha, f, dphi
-        x_prev, g_prev = xt, g
-        alpha = next_alpha
-        first = False
-    fail(f"no acceptable step within {max_trials} trials")
+            return accept(a_j, xt, f, g, dphi, ref=(a_lo, f_lo, dphi_lo))
+        if a_hi is None and dphi < 0.0:
+            if a_j >= alpha_max:
+                # still descending at the box face; no longer step exists
+                return accept(a_j, xt, f, g)
+            alpha = min(_extend_step(a_j, dphi, a_lo, dphi_lo), alpha_max)
+        elif a_hi is None or dphi * (a_hi - a_lo) >= 0.0:
+            # an open hi reads as dphi >= 0: the slope turned past lo
+            a_hi, f_hi, dphi_hi = a_lo, f_lo, dphi_lo
+        a_lo, f_lo, dphi_lo, x_lo, g_lo = a_j, f, dphi, xt, g
+    # only a closed bracket falls back to its sufficient-decrease point
+    if a_hi is not None and x_lo is not None:
+        return accept(a_lo, x_lo, f_lo, g_lo)
+    if state["trials"] >= max_trials:
+        fail(f"no acceptable step within {max_trials} trials")
+    fail("zoom interval collapsed without an acceptable step")

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from paropt.cli import main
+from paropt import BenchConfig, OptimOptions, cli
+from paropt.cli import build_parser, main
 from paropt.iterlog import IterationLog
 
 
@@ -120,6 +121,25 @@ def test_workers_env_var(monkeypatch, capsys):
     monkeypatch.setenv("PAROPT_WORKERS", "2")
     code, _, _ = run_cli(["optimize", "--problem", "quadratic"], capsys)
     assert code == 0
+
+
+def test_parser_defaults_are_the_dataclass_defaults(monkeypatch, capsys):
+    parser = build_parser()
+    opt = parser.parse_args(["optimize", "--problem", "quadratic"])
+    assert (opt.maxit, opt.eps) == (OptimOptions.maxit, OptimOptions.eps)
+    ben = parser.parse_args(["bench"])
+    assert (tuple(ben.dims), tuple(ben.sleeps), tuple(ben.modes), ben.reps,
+            ben.iters) == (BenchConfig.dims, BenchConfig.sleeps, BenchConfig.modes,
+                           BenchConfig.repetitions, BenchConfig.iterations)
+
+    # without flags or PAROPT_WORKERS, the bench command runs the default grid
+    configs = []
+    monkeypatch.delenv("PAROPT_WORKERS", raising=False)
+    monkeypatch.setattr(cli, "run_benchmark",
+                        lambda config, progress: configs.append(config) or [])
+    code, _, _ = run_cli(["bench"], capsys)
+    assert code == 0
+    assert configs == [BenchConfig()]
 
 
 def test_iteration_limit_exits_1(capsys):

@@ -1,8 +1,11 @@
 """Strong Wolfe search: acceptance, capping, backtracking, and failure."""
 
+import math
+from contextlib import suppress
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from paropt import CoupledEvaluator
@@ -212,3 +215,26 @@ def test_zoom_on_a_quadratic_ray_leaves_out_the_high_slope():
     ls = wolfe_line_search(ev, x0, f0, g0, -g0)
     assert ls.par.tolist() == [0.0, 0.0]
     assert ls.trials == 2
+
+
+@given(wall=st.floats(1e-2, 1e3), minimum=st.floats(1e-2, 1e4),
+       initial=st.floats(1e-3, 1e3))
+@example(wall=50.0, minimum=1000.0, initial=1.0)  # once extrapolated past the wall
+def test_no_trial_at_or_past_a_non_finite_one(wall, minimum, initial):
+    # phi(alpha) = (alpha - minimum)^2 on the ray from 0 along +1, non-finite
+    # from the wall on; a non-finite trial closes the bracket there
+    steps = []
+
+    def obj(x):
+        steps.append(float(x[0]))
+        return float((x[0] - minimum) ** 2) if x[0] < wall else math.nan
+
+    ev = CoupledEvaluator(obj, 1, gradient=lambda x: np.array([2.0 * (x[0] - minimum)]))
+    x0, f0, g0 = start(ev, [0.0])
+    with suppress(LineSearchFailure):
+        wolfe_line_search(ev, x0, f0, g0, np.array([1.0]), initial_step=initial)
+    shortest = math.inf
+    for step in steps[1:]:
+        assert step < shortest
+        if step >= wall:
+            shortest = step

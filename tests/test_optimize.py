@@ -283,6 +283,23 @@ def test_failed_line_search_refreshes_the_memory(monkeypatch, method, failing):
     assert np.array_equal(retry_d, -retry_g)
 
 
+def test_cg_never_retries_the_search_that_just_failed(monkeypatch, chained_rosenbrock,
+                                                      rosenbrock_starts):
+    # from this start a Fletcher-Reeves direction is not downhill, and its
+    # steepest-descent stand-in fails; a retry would run the same search again
+    fn, _ = chained_rosenbrock
+    calls = []
+
+    def spy(ev, par, f, g, d, *args, **kwargs):
+        calls.append((par.tobytes(), d.tobytes(), kwargs["initial_step"]))
+        return wolfe_line_search(ev, par, f, g, d, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "wolfe_line_search", spy)
+    r = optimize(fn, rosenbrock_starts(2, 4, seed=2)[3], method="cg", maxit=1000)
+    assert r.code == 0, r.message
+    assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
 @pytest.mark.parametrize("method", ["lbfgsb", "bfgs"])
 def test_difference_gradient_noise_floor_is_converged(method):
     # near the minimum the default step's difference gradient is too poor to

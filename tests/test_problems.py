@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from paropt import (ConfigError, DatasetError, EvaluationError, get_problem, optimize,
-                    problem_names)
+from paropt import (ConfigError, DatasetError, EvaluationError, gen_normal_dataset,
+                    get_problem, optimize, problem_names)
 from paropt.problems import LOG_2PI, normal_negll_problem
 
 
@@ -98,6 +98,17 @@ def test_negll_small_sample_estimate_recovered():
     sigma = float(np.sqrt(((data - mu) ** 2).mean()))
     assert abs(r.par[0] - mu) <= 1e-6
     assert abs(r.par[1] - sigma) <= 1e-6
+
+
+@pytest.mark.parametrize("par0", [[-2.0, 0.1], [0.0, 1e-3], [-2.0, 1e-2]])
+def test_negll_cg_search_stays_short_of_a_non_finite_trial(par0):
+    # the first steps overshoot into sigma <= 0, where the likelihood is
+    # non-finite; the search must not extrapolate past such a trial again
+    data = gen_normal_dataset(200, seed=1)
+    prob = normal_negll_problem(data)
+    r = optimize(prob.objective, par0, prob.gradient, method="cg")
+    assert r.code == 0, r.message
+    assert np.abs(r.par - [data.mean(), data.std()]).max() <= 1e-3
 
 
 def test_negll_default_shape():

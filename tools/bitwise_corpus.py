@@ -1,0 +1,111 @@
+"""Per-solve digests of a fixed corpus, to check that a change leaves results
+bitwise the same.
+
+    PYTHONPATH=src python tools/bitwise_corpus.py run after.jsonl
+    python tools/bitwise_corpus.py compare before.jsonl after.jsonl
+
+`run` solves the corpus with the paropt on the import path (point PYTHONPATH
+at another checkout's `src` to digest that one), on one worker with no
+stall.  It writes one JSON line per solve: par bytes, value, code, message,
+counts and a hash of the log CSV, or the exception the solve raised.
+`compare` prints each solve whose digest differs, then counts per group.
+The groups: `bench`, the benchmark's start points (seeds 1-10); `rosen`,
+chained Rosenbrock in 2, 3 and 10 dimensions from 20 starts, every method,
+analytic, `eps=1e-5` and default-`eps` gradients; `box`, 5 of those starts
+with `lbfgsb` in `x <= 0.8` and in `x[0] <= 0.5`; `negll`, `normal_negll`
+from a 30-start grid, every method, analytic and `eps=1e-5` gradients.
+"""
+
+import argparse
+import collections
+import hashlib
+import itertools
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import WORKLOADS, rosenbrock, rosenbrock_gradient  # noqa: E402
+
+METHODS = ("lbfgsb", "bfgs", "cg")
+GRADIENTS = {"analytic": {}, "eps1e-5": {"eps": 1e-5}, "eps-default": {}}
+
+
+def corpus():
+    """(group, key, objective, gradient, start, options) for every solve."""
+    from paropt import gen_normal_dataset
+    from paropt.problems import normal_negll_problem
+    for name, seed in itertools.product(("fd-sleep", "analytic-sleep"), range(1, 11)):
+        w = WORKLOADS[name]
+        grad = rosenbrock_gradient if w.analytic else None
+        for i, x in enumerate(w.start_points(seed)):
+            yield "bench", f"{name}/{seed}/{i}", rosenbrock, grad, x, w.options()
+    for dim in (2, 3, 10):
+        base = np.where(np.arange(dim) % 2 == 0, -1.2, 1.0)  # the classic start
+        rng = np.random.default_rng(dim)
+        starts = [base] + [base + rng.uniform(-0.1, 0.1, dim) for _ in range(19)]
+        for (kind, kw), (i, x) in itertools.product(GRADIENTS.items(), enumerate(starts)):
+            grad = rosenbrock_gradient if kind == "analytic" else None
+            for method in METHODS:
+                yield ("rosen", f"{dim}/{kind}/{method}/{i}", rosenbrock, grad, x,
+                       dict(kw, method=method, maxit=1000))
+            for box, upper in (("x<=0.8", np.full(dim, 0.8)),
+                               ("x0<=0.5", np.r_[0.5, np.full(dim - 1, np.inf)])):
+                if i < 5:
+                    yield ("box", f"{dim}/{kind}/{box}/{i}", rosenbrock, grad, x,
+                           dict(kw, upper=upper, maxit=1000))
+    spec = normal_negll_problem(gen_normal_dataset(200, seed=1))
+    for mu, sigma in itertools.product(np.linspace(-2, 8, 6), (1e-3, 1e-2, 0.1, 1.0, 5.0)):
+        for kind, method in itertools.product(("analytic", "eps1e-5"), METHODS):
+            grad = spec.gradient if kind == "analytic" else None
+            yield ("negll", f"{mu:g},{sigma:g}/{kind}/{method}", spec.objective, grad,
+                   np.array([mu, sigma]), dict(GRADIENTS[kind], method=method))
+
+
+def digest(objective, gradient, start, options) -> dict:
+    import paropt
+    try:
+        with paropt.WorkerPool(1) as pool:
+            r = paropt.optimize(objective, start, gradient, pool=pool, loginfo=True,
+                                **options)
+    except Exception as exc:  # a raise is an outcome to compare, too
+        return {"raised": f"{type(exc).__name__}: {exc}"}
+    c = r.counts
+    return {"par": r.par.tobytes().hex(), "value": repr(float(r.value)), "code": r.code,
+            "message": r.message, "counts": [c.fn_calls, c.gr_calls, c.batches],
+            "log": hashlib.sha256(r.log.to_csv().encode()).hexdigest()}
+
+
+def outcome(d) -> str:
+    d = d or {"raised": "missing"}
+    return d.get("raised") or f"code {d['code']} value {d['value']} {d['message']!r}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("command", choices=("run", "compare"))
+    parser.add_argument("files", nargs="+", help="run: OUT; compare: BEFORE AFTER")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        with open(args.files[0], "w", encoding="utf-8") as fh:
+            for group, key, *solve in corpus():
+                fh.write(json.dumps({"group": group, "key": key, **digest(*solve)}) + "\n")
+        return 0
+    before, after = ({(d["group"], d["key"]): d
+                      for d in map(json.loads, Path(p).read_text(encoding="utf-8").splitlines())}
+                     for p in args.files[:2])
+    totals, changed = collections.Counter(), collections.Counter()
+    for k in sorted(before.keys() | after.keys()):
+        totals[k[0]] += 1
+        if before.get(k) != after.get(k):
+            changed[k[0]] += 1
+            print(f"{k[0]} {k[1]}: {outcome(before.get(k))} -> {outcome(after.get(k))}")
+    for group, n in totals.items():
+        print(f"{group}: {n - changed[group]} of {n} identical")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
