@@ -1,12 +1,19 @@
 """Worker pool and batched evaluation of independent objective calls.
 
-The pool runs pure-function tasks on OS threads and hands results back in
-submission order, so outputs are bitwise-independent of pool size and of
-task completion order.  A pool of size 1 executes tasks inline on the
-submitting thread.  Every pool size follows one error policy: a task's
-Exception is held until the whole batch has drained, then the first in
-submission order is re-raised; any other BaseException (such as
-KeyboardInterrupt) propagates at once; a closed pool raises RuntimeError.
+A pool of `size` evaluation slots runs pure-function tasks and hands the
+results back in submission order, so outputs are bitwise-independent of
+pool size and of task completion order.  Slot 0 is the calling thread; the
+other `size - 1` slots are daemon threads, each with its own FIFO inbox.  A
+batch goes out as at most `size` contiguous chunks of tasks, one per slot:
+the caller runs the first chunk itself and then waits once, on a latch that
+the last slot thread to finish opens.  A batch of one task, and every
+batch on a pool of size 1, runs inline on the calling thread.
+
+Every pool size follows one error policy: a task's Exception is held until
+the whole batch has drained, then the first in submission order is
+re-raised; any other BaseException (such as KeyboardInterrupt) goes ahead
+of them, at once on the calling thread, and after the other chunks finish
+when it ends a slot thread's chunk; a closed pool raises RuntimeError.
 
 Wall-clock speedup requires the objective to release the GIL while it
 works (time.sleep, I/O, numpy/BLAS kernels, other C extensions).  That
@@ -15,7 +22,9 @@ matches the pure-function contract these tasks already have to satisfy.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
+import weakref
 
 import numpy as np
 
@@ -31,11 +40,55 @@ def _outcome(task):
         return None, exc
 
 
+class _Batch:
+    """One run_batch call: its tasks, their outcomes by task index, and a
+    latch that the last of `waiting` slot threads to finish opens."""
+
+    def __init__(self, tasks, waiting):
+        self.tasks = tasks
+        self.outcomes = [None] * len(tasks)
+        self.interrupt = None
+        self.waiting = waiting
+        self._count = threading.Lock()
+        self.latch = threading.Lock()
+        self.latch.acquire()
+
+    def run(self, lo, hi):
+        for i in range(lo, hi):
+            self.outcomes[i] = _outcome(self.tasks[i])
+
+    def run_on_slot(self, lo, hi):
+        """run() on a slot thread; a BaseException ends the chunk and is
+        kept for run_batch to raise."""
+        try:
+            self.run(lo, hi)
+        except BaseException as exc:  # re-raised on the calling thread
+            self.interrupt = exc
+        with self._count:
+            self.waiting -= 1
+            if self.waiting == 0:
+                self.latch.release()
+
+
+def _serve(inbox):
+    """Body of a slot thread: run chunks in arrival order until None."""
+    for batch, lo, hi in iter(inbox.get, None):
+        batch.run_on_slot(lo, hi)
+
+
+def _stop_slots(inboxes):
+    for inbox in inboxes:
+        inbox.put(None)
+
+
 class WorkerPool:
     """Fixed-size pool of evaluation slots with a blocking batch-submit API.
 
-    Safe to share across sequential optimization runs; a single run issues
-    one batch at a time.  Use as a context manager or call close().
+    The calling thread is slot 0, and `size - 1` daemon threads are the
+    rest; a batch is split into contiguous chunks, one per slot.  Safe to
+    share across sequential optimization runs; a single run issues one
+    batch at a time.  Use as a context manager or call close(); a pool
+    that is dropped unclosed stops its threads when it is collected.
     """
 
     def __init__(self, size: int = 1):
@@ -44,29 +97,53 @@ class WorkerPool:
             raise ConfigError(f"worker pool size must be >= 1, got {size}")
         self.size = size
         self._closed = False
-        self._executor = ThreadPoolExecutor(max_workers=size) if size > 1 else None
+        self._inboxes = [queue.SimpleQueue() for _ in range(size - 1)]
+        self._threads = [threading.Thread(target=_serve, args=(inbox,), daemon=True,
+                                          name=f"paropt-slot-{slot}")
+                         for slot, inbox in enumerate(self._inboxes, 1)]
+        for thread in self._threads:
+            thread.start()
+        self._stop = weakref.finalize(self, _stop_slots, self._inboxes)
 
     def run_batch(self, tasks):
         """Run zero-arg callables, returning results in submission order.
 
         If tasks raise Exceptions, the whole batch drains first and then the
         first of them in submission order is re-raised.  Any other
-        BaseException, such as KeyboardInterrupt, propagates at once.  A
-        closed pool raises RuntimeError.
+        BaseException, such as KeyboardInterrupt, goes ahead of them: at
+        once when a task on the calling thread raises it, after the other
+        chunks finish when one on a slot thread does.  A closed pool raises
+        RuntimeError.
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
-        run = map if self._executor is None else self._executor.map
-        outcomes = list(run(_outcome, tasks))
+        tasks = list(tasks)
+        chunks = min(self.size, len(tasks))
+        outcomes = self._spread(tasks, chunks) if chunks > 1 else list(map(_outcome, tasks))
         for _, exc in outcomes:
             if exc is not None:
                 raise exc
         return [result for result, _ in outcomes]
 
+    def _spread(self, tasks, chunks):
+        """Outcomes of tasks run as `chunks` contiguous chunks, the first on
+        the calling thread and one on each of the first `chunks - 1` slot
+        threads."""
+        bounds = [len(tasks) * c // chunks for c in range(chunks + 1)]
+        batch = _Batch(tasks, chunks - 1)
+        for inbox, lo, hi in zip(self._inboxes, bounds[1:], bounds[2:]):
+            inbox.put((batch, lo, hi))
+        batch.run(0, bounds[1])
+        batch.latch.acquire()
+        if batch.interrupt is not None:
+            raise batch.interrupt
+        return batch.outcomes
+
     def close(self):
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        self._stop()
+        for thread in self._threads:
+            thread.join()
 
     def __enter__(self):
         return self

@@ -57,7 +57,8 @@ def optimize(objective, par0, gradient=None, *, options=None, pool=None,
         Full option set.  Mutually exclusive with keyword overrides.
     pool : WorkerPool, optional
         Evaluation pool to borrow.  When omitted a pool of
-        ``options.workers`` threads is created and closed internally.
+        ``options.workers`` slots, the calling thread among them, is
+        created and closed internally.
     **overrides
         Convenience: OptimOptions fields, e.g. ``method="bfgs"``.
 
@@ -166,6 +167,11 @@ def _minimize(ev, par, opts, log):
                 # representable step decreases the objective along it
                 code = Convergence.CONVERGED
                 message = "no decrease along the difference gradient before the step rounds to zero"
+            elif exc.rounded and method != LBFGSB:
+                # how optim's vmmin and cgmin stop: a steepest step that
+                # changes no parameter
+                code = Convergence.CONVERGED
+                message = "no decrease along steepest descent before the step rounds to zero"
             else:
                 code = Convergence.LINE_SEARCH_FAILURE
                 message = f"line search failed: {exc}"

@@ -1,5 +1,10 @@
 """Worker pool ordering, error draining, and batched evaluation."""
 
+import gc
+import os
+import random
+import subprocess
+import sys
 import threading
 import time
 
@@ -106,6 +111,109 @@ def test_sleep_tasks_overlap():
         pool.run_batch([nap] * 4)
         elapsed = time.perf_counter() - start
     assert elapsed < 0.3  # serial would take >= 0.4
+
+
+def test_interrupt_on_the_calling_thread_leaves_the_pool_usable():
+    # task 0 runs on the caller (slot 0); tasks 1-2 are still asleep on the
+    # slot threads when the interrupt leaves run_batch
+    def interrupt():
+        raise KeyboardInterrupt
+
+    def nap(i):
+        def task():
+            time.sleep(0.1)
+            return i
+        return task
+
+    with WorkerPool(3) as pool:
+        with pytest.raises(KeyboardInterrupt):
+            pool.run_batch([interrupt, nap(1), nap(2)])
+        assert pool.run_batch([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+
+
+def test_batch_longer_than_the_pool_keeps_order_and_width():
+    lock = threading.Lock()
+    running = [0]
+    peak = [0]
+
+    def make(i, delay):
+        def task():
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(delay)
+            with lock:
+                running[0] -= 1
+            return i
+        return task
+
+    delays = [0.002 * k for k in range(1, 11)]
+    random.Random(10).shuffle(delays)
+    with WorkerPool(3) as pool:
+        out = pool.run_batch([make(i, d) for i, d in enumerate(delays)])
+    assert out == list(range(10))
+    assert peak[0] <= 3
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_empty_batch(size):
+    with WorkerPool(size) as pool:
+        assert pool.run_batch([]) == []
+
+
+def test_unclosed_pool_lets_the_interpreter_exit():
+    code = ("from paropt import WorkerPool\n"
+            "pool = WorkerPool(3)\n"
+            "assert pool.run_batch([lambda: 1] * 3) == [1, 1, 1]\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=10)
+    assert done.returncode == 0
+
+
+def test_close_joins_the_slot_threads():
+    before = threading.active_count()
+    pool = WorkerPool(4)
+    assert threading.active_count() == before + 3
+    pool.run_batch([lambda: 1] * 4)
+    pool.close()
+    assert threading.active_count() == before
+
+
+def test_dropped_pool_stops_its_threads():
+    pool = WorkerPool(3)
+    threads = list(pool._threads)
+    del pool
+    gc.collect()
+    for thread in threads:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def test_many_small_batches_under_fast_thread_switching():
+    # a lost update of the batch's countdown would leave a batch waiting
+    # for ever, or return before its slots have written their outcomes
+    failures = []
+
+    def hammer():
+        try:
+            with WorkerPool(6) as pool:
+                for n in range(400):
+                    tasks = [lambda i=i: i * i for i in range(n % 13)]
+                    if pool.run_batch(tasks) != [i * i for i in range(n % 13)]:
+                        failures.append(n)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=hammer, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert failures == []
 
 
 def test_evaluate_batch_bitwise_same_for_any_pool_size():

@@ -111,6 +111,17 @@ def test_negll_cg_search_stays_short_of_a_non_finite_trial(par0):
     assert np.abs(r.par - [data.mean(), data.std()]).max() <= 1e-3
 
 
+def test_negll_cg_stops_where_no_steepest_step_decreases():
+    # at the estimate no representable step along -g lowers f before the
+    # reltol test fires; like optim's cgmin, that is a converged solve
+    data = gen_normal_dataset(200, seed=1)
+    prob = normal_negll_problem(data)
+    r = optimize(prob.objective, [6.0, 0.1], prob.gradient, method="cg")
+    assert r.code == 0, r.message
+    assert r.message == "no decrease along steepest descent before the step rounds to zero"
+    assert np.abs(r.par - [data.mean(), data.std()]).max() <= 1e-6
+
+
 def test_negll_default_shape():
     prob = get_problem("normal_negll", data=[1.0, 2.0, 3.0])
     assert prob.p == 2

@@ -1,13 +1,15 @@
 """Per-solve digests of a fixed corpus, to check that a change leaves results
 bitwise the same.
 
-    PYTHONPATH=src python tools/bitwise_corpus.py run after.jsonl
+    PYTHONPATH=src python tools/bitwise_corpus.py run after.jsonl [--workers N]
     python tools/bitwise_corpus.py compare before.jsonl after.jsonl
 
 `run` solves the corpus with the paropt on the import path (point PYTHONPATH
-at another checkout's `src` to digest that one), on one worker with no
-stall.  It writes one JSON line per solve: par bytes, value, code, message,
-counts and a hash of the log CSV, or the exception the solve raised.
+at another checkout's `src` to digest that one), on one pool of N slots
+(default 1) with no stall.  Results must not depend on N, so comparing a
+1-worker file with an N-worker file checks that promise.  It writes one
+JSON line per solve: par bytes, value, code, message, counts and a hash of
+the log CSV, or the exception the solve raised.
 `compare` prints each solve whose digest differs, then counts per group.
 The groups: `bench`, the benchmark's start points (seeds 1-10); `rosen`,
 chained Rosenbrock in 2, 3 and 10 dimensions from 20 starts, every method,
@@ -64,12 +66,10 @@ def corpus():
                    np.array([mu, sigma]), dict(GRADIENTS[kind], method=method))
 
 
-def digest(objective, gradient, start, options) -> dict:
+def digest(pool, objective, gradient, start, options) -> dict:
     import paropt
     try:
-        with paropt.WorkerPool(1) as pool:
-            r = paropt.optimize(objective, start, gradient, pool=pool, loginfo=True,
-                                **options)
+        r = paropt.optimize(objective, start, gradient, pool=pool, loginfo=True, **options)
     except Exception as exc:  # a raise is an outcome to compare, too
         return {"raised": f"{type(exc).__name__}: {exc}"}
     c = r.counts
@@ -87,11 +87,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("command", choices=("run", "compare"))
     parser.add_argument("files", nargs="+", help="run: OUT; compare: BEFORE AFTER")
+    parser.add_argument("--workers", type=int, default=1, help="run: pool slots (default 1)")
     args = parser.parse_args(argv)
     if args.command == "run":
-        with open(args.files[0], "w", encoding="utf-8") as fh:
+        import paropt
+        with open(args.files[0], "w", encoding="utf-8") as fh, \
+                paropt.WorkerPool(args.workers) as pool:
             for group, key, *solve in corpus():
-                fh.write(json.dumps({"group": group, "key": key, **digest(*solve)}) + "\n")
+                fh.write(json.dumps({"group": group, "key": key, **digest(pool, *solve)}) + "\n")
         return 0
     before, after = ({(d["group"], d["key"]): d
                       for d in map(json.loads, Path(p).read_text(encoding="utf-8").splitlines())}
