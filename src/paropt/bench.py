@@ -11,6 +11,7 @@ well defined when the run converges before exhausting its budget.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -42,20 +43,19 @@ class BenchConfig:
     workers: int = 7
 
     def validated(self) -> "BenchConfig":
-        if not self.dims or any(p < 1 for p in self.dims):
+        if not self.dims:
             raise ConfigError("dims must be a non-empty list of integers >= 1")
+        counts = [("dims entry", p) for p in self.dims]
+        counts += [(name, getattr(self, name)) for name in ("repetitions", "iterations", "workers")]
+        for name, v in counts:
+            if not isinstance(v, numbers.Integral) or v < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         if not self.sleeps or any(s < 0 for s in self.sleeps):
             raise ConfigError("sleeps must be a non-empty list of durations >= 0")
         unknown = [m for m in self.modes if m not in MODES]
         if unknown or not self.modes:
             raise ConfigError(f"modes must be a non-empty subset of {MODES}, "
                               f"got unknown {unknown}")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         return self
 
 

@@ -3,11 +3,10 @@
 A pool of `size` evaluation slots runs pure-function tasks and hands the
 results back in submission order, so outputs are bitwise-independent of
 pool size and of task completion order.  Slot 0 is the calling thread; the
-other `size - 1` slots are daemon threads, each with its own FIFO inbox.  A
-batch goes out as at most `size` contiguous chunks of tasks, one per slot:
-the caller runs the first chunk itself and then waits once, on a latch that
-the last slot thread to finish opens.  A batch of one task, and every
-batch on a pool of size 1, runs inline on the calling thread.
+other `size - 1` slots are daemon threads, each with its own FIFO inbox.
+Every batch takes one path: it is split into at most `size` contiguous
+chunks of tasks, one per slot; the caller runs the first chunk itself and
+then takes one end report per slot chunk from the batch's done queue.
 
 Every pool size follows one error policy: a task's Exception is held until
 the whole batch has drained, then the first in submission order is
@@ -22,6 +21,7 @@ matches the pure-function contract these tasks already have to satisfy.
 
 from __future__ import annotations
 
+import numbers
 import queue
 import threading
 import weakref
@@ -31,49 +31,28 @@ import numpy as np
 from .errors import ConfigError, EvaluationError
 
 
-def _outcome(task):
-    """Run one task: (result, None), or (None, exc) when it raises an
-    Exception.  Any other BaseException escapes."""
-    try:
-        return task(), None
-    except Exception as exc:  # drained; re-raised by run_batch
-        return None, exc
-
-
-class _Batch:
-    """One run_batch call: its tasks, their outcomes by task index, and a
-    latch that the last of `waiting` slot threads to finish opens."""
-
-    def __init__(self, tasks, waiting):
-        self.tasks = tasks
-        self.outcomes = [None] * len(tasks)
-        self.interrupt = None
-        self.waiting = waiting
-        self._count = threading.Lock()
-        self.latch = threading.Lock()
-        self.latch.acquire()
-
-    def run(self, lo, hi):
-        for i in range(lo, hi):
-            self.outcomes[i] = _outcome(self.tasks[i])
-
-    def run_on_slot(self, lo, hi):
-        """run() on a slot thread; a BaseException ends the chunk and is
-        kept for run_batch to raise."""
+def _run(tasks, outcomes, lo, hi):
+    """Run tasks[lo:hi] into outcomes[lo:hi]: (result, None) per task, or
+    (None, exc) when it raises an Exception.  Any other BaseException
+    escapes."""
+    for i in range(lo, hi):
         try:
-            self.run(lo, hi)
-        except BaseException as exc:  # re-raised on the calling thread
-            self.interrupt = exc
-        with self._count:
-            self.waiting -= 1
-            if self.waiting == 0:
-                self.latch.release()
+            outcomes[i] = tasks[i](), None
+        except Exception as exc:  # drained; re-raised by run_batch
+            outcomes[i] = None, exc
 
 
 def _serve(inbox):
-    """Body of a slot thread: run chunks in arrival order until None."""
-    for batch, lo, hi in iter(inbox.get, None):
-        batch.run_on_slot(lo, hi)
+    """Body of a slot thread: run chunks in arrival order until None, and
+    put each chunk's end report on its batch's done queue: None, or the
+    BaseException that ended the chunk."""
+    for tasks, outcomes, lo, hi, done in iter(inbox.get, None):
+        report = None
+        try:
+            _run(tasks, outcomes, lo, hi)
+        except BaseException as exc:  # re-raised on the calling thread
+            report = exc
+        done.put(report)
 
 
 def _stop_slots(inboxes):
@@ -85,17 +64,17 @@ class WorkerPool:
     """Fixed-size pool of evaluation slots with a blocking batch-submit API.
 
     The calling thread is slot 0, and `size - 1` daemon threads are the
-    rest; a batch is split into contiguous chunks, one per slot.  Safe to
-    share across sequential optimization runs; a single run issues one
-    batch at a time.  Use as a context manager or call close(); a pool
-    that is dropped unclosed stops its threads when it is collected.
+    rest; a batch is split into contiguous chunks, one per slot, and the
+    caller takes one end report per slot chunk.  Safe to share across
+    sequential optimization runs; a single run issues one batch at a time.
+    Use as a context manager or call close(); a pool that is dropped
+    unclosed stops its threads when it is collected.
     """
 
     def __init__(self, size: int = 1):
-        size = int(size)
-        if size < 1:
-            raise ConfigError(f"worker pool size must be >= 1, got {size}")
-        self.size = size
+        if not isinstance(size, numbers.Integral) or size < 1:
+            raise ConfigError(f"worker pool size must be an integer >= 1, got {size!r}")
+        self.size = int(size)
         self._closed = False
         self._inboxes = [queue.SimpleQueue() for _ in range(size - 1)]
         self._threads = [threading.Thread(target=_serve, args=(inbox,), daemon=True,
@@ -118,26 +97,21 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is closed")
         tasks = list(tasks)
-        chunks = min(self.size, len(tasks))
-        outcomes = self._spread(tasks, chunks) if chunks > 1 else list(map(_outcome, tasks))
+        n = len(tasks)
+        chunks = max(1, min(self.size, n))
+        bounds = [n * c // chunks for c in range(chunks + 1)]
+        outcomes = [None] * n
+        done = queue.SimpleQueue()
+        for inbox, lo, hi in zip(self._inboxes, bounds[1:], bounds[2:]):
+            inbox.put((tasks, outcomes, lo, hi, done))
+        _run(tasks, outcomes, 0, bounds[1])
+        for report in [done.get() for _ in range(chunks - 1)]:
+            if report is not None:
+                raise report
         for _, exc in outcomes:
             if exc is not None:
                 raise exc
         return [result for result, _ in outcomes]
-
-    def _spread(self, tasks, chunks):
-        """Outcomes of tasks run as `chunks` contiguous chunks, the first on
-        the calling thread and one on each of the first `chunks - 1` slot
-        threads."""
-        bounds = [len(tasks) * c // chunks for c in range(chunks + 1)]
-        batch = _Batch(tasks, chunks - 1)
-        for inbox, lo, hi in zip(self._inboxes, bounds[1:], bounds[2:]):
-            inbox.put((batch, lo, hi))
-        batch.run(0, bounds[1])
-        batch.latch.acquire()
-        if batch.interrupt is not None:
-            raise batch.interrupt
-        return batch.outcomes
 
     def close(self):
         self._closed = True

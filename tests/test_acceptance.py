@@ -3,12 +3,11 @@
 Each test exercises one user-facing promise end to end and prints a
 PASS line with the measured quantity, so a verbose run doubles as a
 short report.  Timing tests use the sleep problem, whose waits release
-the GIL; the dimension-scaling speedup test needs real cores and skips
-on small machines.
+the GIL, so they overlap on any machine, even one with fewer cores than
+workers.
 """
 
 import math
-import os
 import statistics
 
 import numpy as np
@@ -152,8 +151,6 @@ def test_analytic_speedup_factor_two():
           f"parallel {statistics.fmean(parallel):.3f}s per iteration)")
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 8,
-                    reason="needs at least 8 cores to back 7 workers")
 def test_approx_speedup_scales_with_dimension():
     """Parallel stencils hide the factor 1+2p that serial runs pay."""
     cfg = BenchConfig(dims=(3,), sleeps=(0.2,),

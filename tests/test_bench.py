@@ -38,11 +38,13 @@ def test_config_validation():
     bad_fields = [
         dict(dims=()),
         dict(dims=(0,)),
+        dict(dims=(2.5,)),
         dict(sleeps=()),
         dict(sleeps=(-1.0,)),
         dict(modes=("warpspeed",)),
         dict(modes=()),
         dict(repetitions=0),
+        dict(repetitions=2.5),
         dict(iterations=0),
         dict(workers=0),
     ]

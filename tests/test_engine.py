@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paropt.engine import WorkerPool, evaluate_batch, parallel_value_and_gradient
 from paropt.errors import ConfigError, EvaluationError
@@ -95,9 +97,62 @@ def test_closed_pool_refuses_batches(size):
     assert ran == []
 
 
-def test_pool_size_must_be_positive():
+@pytest.mark.parametrize("size", [0, 2.5, "3"])
+def test_pool_size_must_be_positive(size):
     with pytest.raises(ConfigError):
-        WorkerPool(0)
+        WorkerPool(size)
+
+
+class _Failure(Exception):
+    pass
+
+
+# a drawn task returns its integer, or raises _Failure(index) when drawn None
+_task = st.one_of(st.integers(-99, 99), st.none())
+
+
+def _counted_tasks(draws, interrupt_at=None):
+    """Tasks for the draws, and the list counting each task's runs."""
+    ran = [0] * len(draws)
+    lock = threading.Lock()
+
+    def make(i, draw):
+        def task():
+            with lock:
+                ran[i] += 1
+            if i == interrupt_at:
+                raise KeyboardInterrupt
+            if draw is None:
+                raise _Failure(i)
+            return draw
+        return task
+
+    return [make(i, d) for i, d in enumerate(draws)], ran
+
+
+@given(size=st.integers(1, 4), draws=st.lists(_task, max_size=12))
+def test_pool_contract_matches_a_serial_run(size, draws):
+    tasks, ran = _counted_tasks(draws)
+    failures = [i for i, d in enumerate(draws) if d is None]
+    with WorkerPool(size) as pool:
+        if failures:
+            with pytest.raises(_Failure) as err:
+                pool.run_batch(tasks)
+            assert err.value.args == (failures[0],)
+        else:
+            assert pool.run_batch(tasks) == draws
+    assert ran == [1] * len(draws)
+
+
+@given(size=st.integers(1, 4), draws=st.lists(_task, min_size=1, max_size=12),
+       data=st.data())
+def test_pool_contract_survives_an_interrupt(size, draws, data):
+    n = len(draws)
+    tasks, _ = _counted_tasks(draws, interrupt_at=data.draw(st.integers(0, n - 1)))
+    with WorkerPool(size) as pool:
+        with pytest.raises(KeyboardInterrupt):
+            pool.run_batch(tasks)
+        assert pool.run_batch([lambda i=i: i for i in range(n)]) == list(range(n))
 
 
 def test_sleep_tasks_overlap():
@@ -190,8 +245,8 @@ def test_dropped_pool_stops_its_threads():
 
 
 def test_many_small_batches_under_fast_thread_switching():
-    # a lost update of the batch's countdown would leave a batch waiting
-    # for ever, or return before its slots have written their outcomes
+    # a lost or misrouted end report would leave a batch waiting for ever,
+    # or return before its slots have written their outcomes
     failures = []
 
     def hammer():
