@@ -11,12 +11,11 @@ well defined when the run converges before exhausting its budget.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
 from .engine import WorkerPool
-from .errors import ConfigError
+from .errors import ConfigError, check_count, check_nonnegative
 from .optimizers import LBFGSB, OptimOptions, optimize
 from .problems import sleep_problem
 from .stencil import CENTRAL, FORWARD
@@ -43,15 +42,14 @@ class BenchConfig:
     workers: int = 7
 
     def validated(self) -> "BenchConfig":
-        if not self.dims:
-            raise ConfigError("dims must be a non-empty list of integers >= 1")
-        counts = [("dims entry", p) for p in self.dims]
-        counts += [(name, getattr(self, name)) for name in ("repetitions", "iterations", "workers")]
-        for name, v in counts:
-            if not isinstance(v, numbers.Integral) or v < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-        if not self.sleeps or any(s < 0 for s in self.sleeps):
-            raise ConfigError("sleeps must be a non-empty list of durations >= 0")
+        if not self.dims or not self.sleeps:
+            raise ConfigError("dims and sleeps must be non-empty lists")
+        for p in self.dims:
+            check_count("dims entry", p)
+        for name in ("repetitions", "iterations", "workers"):
+            check_count(name, getattr(self, name))
+        for s in self.sleeps:
+            check_nonnegative("sleeps entry", s)
         unknown = [m for m in self.modes if m not in MODES]
         if unknown or not self.modes:
             raise ConfigError(f"modes must be a non-empty subset of {MODES}, "

@@ -112,8 +112,6 @@ def _resolve_problem(args):
 def cmd_optimize(args) -> int:
     problem = _resolve_problem(args)
     par0 = args.par0 if args.par0 is not None else problem.par0
-    if par0 is None:
-        raise ConfigError(f"problem {args.problem!r} has no default start; pass --par0")
     problem.check_dimension(par0)
 
     lower, upper = args.lower, args.upper
@@ -166,9 +164,6 @@ def cmd_gradcheck(args) -> int:
     all_ok = True
     for name in names:
         problem = _default_problem(name)
-        if problem.gradient is None:
-            print(f"{name}: skipped (no analytic gradient)")
-            continue
         report = check_gradient(problem.objective, problem.gradient, problem.par0,
                                 lower=problem.lower, upper=problem.upper,
                                 points=args.points, seed=args.seed, spread=0.5)

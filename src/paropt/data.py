@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, check_count
 
 
 def load_dataset(path) -> np.ndarray:
@@ -35,10 +35,9 @@ def gen_normal_dataset(n: int, mean: float = 5.0, sd: float = 2.0,
     to normals with the Box-Muller transform, spelled out here so the
     stream does not depend on numpy's choice of normal algorithm.
     """
-    if n < 1:
-        raise ConfigError(f"need n >= 1 samples, got {n}")
-    if sd <= 0.0:
-        raise ConfigError(f"need sd > 0, got {sd}")
+    n = check_count("n", n)
+    if not (np.isfinite(mean) and np.isfinite(sd) and sd > 0.0):
+        raise ConfigError(f"need a finite mean and a finite sd > 0, got mean={mean}, sd={sd}")
     rng = np.random.Generator(np.random.PCG64(seed))
     pairs = (n + 1) // 2
     u1 = rng.random(pairs)

@@ -21,14 +21,13 @@ matches the pure-function contract these tasks already have to satisfy.
 
 from __future__ import annotations
 
-import numbers
 import queue
 import threading
 import weakref
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError
+from .errors import EvaluationError, check_count
 
 
 def _run(tasks, outcomes, lo, hi):
@@ -72,11 +71,9 @@ class WorkerPool:
     """
 
     def __init__(self, size: int = 1):
-        if not isinstance(size, numbers.Integral) or size < 1:
-            raise ConfigError(f"worker pool size must be an integer >= 1, got {size!r}")
-        self.size = int(size)
+        self.size = check_count("worker pool size", size)
         self._closed = False
-        self._inboxes = [queue.SimpleQueue() for _ in range(size - 1)]
+        self._inboxes = [queue.SimpleQueue() for _ in range(self.size - 1)]
         self._threads = [threading.Thread(target=_serve, args=(inbox,), daemon=True,
                                           name=f"paropt-slot-{slot}")
                          for slot, inbox in enumerate(self._inboxes, 1)]

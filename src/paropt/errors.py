@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar input rules
+every public entry point checks its counts and durations with."""
+
+import math
+import numbers
 
 
 class ConfigError(ValueError):
@@ -29,3 +33,17 @@ class EvaluationError(RuntimeError):
 
 class DatasetError(ValueError):
     """A dataset file could not be parsed."""
+
+
+def check_count(name, value) -> int:
+    """`value` as an int when it is an integral number >= 1, else ConfigError."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def check_nonnegative(name, value) -> float:
+    """`value` as a float when it is a finite real >= 0, else ConfigError."""
+    if not isinstance(value, numbers.Real) or not 0.0 <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)

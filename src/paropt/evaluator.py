@@ -15,7 +15,7 @@ import numpy as np
 
 from . import stencil as st
 from .engine import WorkerPool, evaluate_batch, parallel_value_and_gradient
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, check_count
 
 ANALYTIC = "analytic"
 
@@ -59,9 +59,7 @@ class CoupledEvaluator:
 
     def __init__(self, objective, dim, gradient=None, scheme=st.CENTRAL,
                  eps=1e-3, lower=None, upper=None, pool=None):
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise ConfigError(f"dimension must be >= 1, got {dim}")
+        self.dim = check_count("dimension", dim)
         self._objective = objective
         self._gradient = gradient
         self.mode = ANALYTIC if gradient is not None else scheme

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count, check_nonnegative
 from .evaluator import CoupledEvaluator
 from .stencil import CENTRAL, as_parameter_vector, validate_bounds
 
@@ -70,6 +70,8 @@ def check_gradient(objective, gradient, center, *, lower=None, upper=None,
     if gradient is None:
         raise ConfigError("gradient check needs an analytic gradient")
     center = as_parameter_vector(center)
+    points = check_count("points", points)
+    spread = check_nonnegative("spread", spread)
     sampled = sample_feasible_points(center, points, seed, lower, upper, spread)
     ev = CoupledEvaluator(objective, center.size, scheme=CENTRAL, eps=eps,
                           lower=lower, upper=upper)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_count
 
 
 def format_float(v: float) -> str:
@@ -34,7 +34,7 @@ class IterationLog:
     """Ordered (iter, par, fn, gr) rows for one optimization run."""
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
+        self.dim = check_count("log dimension", dim)
         self.rows: list[LogRow] = []
 
     def __len__(self) -> int:

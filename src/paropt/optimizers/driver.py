@@ -141,13 +141,9 @@ def _minimize(ev, par, opts, log):
             if not dphi0 < 0.0:
                 raise LineSearchFailure("no descent direction available")
             if method == CG and prev_drop is not None and prev_drop > 0.0:
-                initial = 2.02 * prev_drop / (-dphi0)
-                if not np.isfinite(initial) or initial <= 0.0:
-                    initial = 1.0
-                initial = min(1.0, initial)
+                initial = min(1.0, 2.02 * prev_drop / (-dphi0))
             elif steepest:
-                dinf = float(np.abs(d).max())
-                initial = min(1.0, 1.0 / dinf) if dinf > 0.0 else 1.0
+                initial = min(1.0, 1.0 / float(np.abs(d).max()))
             else:
                 initial = 1.0
             ls = wolfe_line_search(ev, par, f, g, d, lower, upper,

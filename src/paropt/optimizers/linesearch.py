@@ -143,7 +143,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     lower = np.full(x0.shape, -np.inf) if lower is None else lower
     upper = np.full(x0.shape, np.inf) if upper is None else upper
     dphi0 = float(np.dot(g0, d))
-    if dphi0 >= 0.0:
+    if not dphi0 < 0.0:
         raise ValueError(f"line search requires a descent direction, got d.g = {dphi0}")
 
     alpha_max, cap = max_feasible_step(x0, d, lower, upper)
@@ -194,7 +194,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     a_hi = f_hi = dphi_hi = None
     a_nonfinite = math.inf  # the shortest step with a non-finite value
     alpha = min(float(initial_step), alpha_max)
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         alpha = alpha_max if np.isfinite(alpha_max) else 1.0
     while state["trials"] < max_trials:
         if a_hi is None:

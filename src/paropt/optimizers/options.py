@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count, check_nonnegative
 from ..evaluator import EvalCounts
 from ..iterlog import IterationLog
 from ..stencil import SCHEMES
@@ -61,13 +60,9 @@ class OptimOptions:
             if v not in allowed:
                 raise ConfigError(f"unknown {name} {v!r}, expected one of {allowed}")
         for name in ("maxit", "memory_m", "workers"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or v < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+            check_count(name, getattr(self, name))
         for name in ("factr", "pgtol", "reltol"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+            check_nonnegative(name, getattr(self, name))
         if self.method != LBFGSB and (self.lower is not None or self.upper is not None):
             raise ConfigError(f"bounds are only supported by method {LBFGSB!r}")
         return self

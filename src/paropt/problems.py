@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, check_count, check_nonnegative
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -118,10 +118,8 @@ def sleep_problem(p: int, sleep_s: float) -> ProblemSpec:
     The stall models expensive model evaluations; sleeping releases the
     interpreter lock, so parallel stencil evaluation overlaps the waits.
     """
-    if p < 1:
-        raise ConfigError(f"need p >= 1, got {p}")
-    if sleep_s < 0:
-        raise ConfigError(f"need sleep_s >= 0, got {sleep_s}")
+    p = check_count("p", p)
+    sleep_s = check_nonnegative("sleep_s", sleep_s)
 
     def objective(par):
         if sleep_s > 0:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from paropt import BenchConfig, OptimOptions, cli
+from paropt import BenchConfig, OptimOptions, cli, get_problem, optimize
 from paropt.cli import build_parser, main
 from paropt.iterlog import IterationLog
 
@@ -188,3 +188,36 @@ def test_bench_out_file(tmp_path, capsys):
     assert out == ""
     assert "wrote 1 rows" in err
     assert path.read_text().startswith("mode,p,sleep,rep,")
+
+
+def test_eps_flag_matches_the_library_call(monkeypatch, capsys):
+    monkeypatch.delenv("PAROPT_WORKERS", raising=False)
+    code, doc, _ = run_json(["optimize", "--problem", "quadratic", "--par0", "0.7,-0.3",
+                             "--scheme", "central", "--eps", "1e-5"], capsys)
+    r = optimize(get_problem("quadratic").objective, [0.7, -0.3], scheme="central",
+                 eps=1e-5)
+    assert code == r.code
+    assert doc["par"] == [float(v) for v in r.par]
+    assert doc["value"] == r.value
+    assert (doc["fn_calls"], doc["gr_calls"], doc["batches"]) == (
+        r.counts.fn_calls, r.counts.gr_calls, r.counts.batches)
+
+
+def test_per_coordinate_eps_flag(capsys):
+    argv = ["optimize", "--problem", "quadratic", "--par0", "0.7,-0.3",
+            "--scheme", "forward", "--eps", "1e-5,1e-4"]
+    code, doc, _ = run_json(argv, capsys)
+    r = optimize(get_problem("quadratic").objective, [0.7, -0.3], scheme="forward",
+                 eps=[1e-5, 1e-4])
+    assert code == 0
+    assert doc["par"] == [float(v) for v in r.par]
+    assert doc["fn_calls"] == r.counts.fn_calls
+    # a forward quotient puts the minimum of x^2 at -h/2 in each coordinate
+    assert doc["par"] == pytest.approx([-5e-6, -5e-5], rel=1e-3)
+
+
+def test_eps_flag_longer_than_the_problem_exits_2(capsys):
+    code, _, err = run_cli(["optimize", "--problem", "quadratic", "--par0", "0.7,-0.3",
+                            "--scheme", "central", "--eps", "1e-5,1e-5,1e-5"], capsys)
+    assert code == 2
+    assert "eps" in err

@@ -238,3 +238,22 @@ def test_no_trial_at_or_past_a_non_finite_one(wall, minimum, initial):
         assert step < shortest
         if step >= wall:
             shortest = step
+
+
+def test_nan_direction_rejected_before_any_trial():
+    ev = CoupledEvaluator(sum_sq, 2, gradient=sum_sq_grad)
+    x0, f0, g0 = start(ev, [1.0, 1.0])
+    with pytest.raises(ValueError, match="descent direction") as info:
+        wolfe_line_search(ev, x0, f0, g0, np.array([np.nan, -1.0]))
+    assert type(info.value) is ValueError
+    assert ev.counts().batches == 1
+
+
+def test_direction_out_of_the_box_at_a_face_rejected():
+    # x0 sits on the lower face of coordinate 0 and d leaves the box there
+    ev = CoupledEvaluator(sum_sq, 2, gradient=sum_sq_grad)
+    x0, f0, g0 = start(ev, [1.0, 0.5])
+    lower, upper = np.array([1.0, -np.inf]), np.full(2, np.inf)
+    with pytest.raises(ValueError, match="no feasible movement"):
+        wolfe_line_search(ev, x0, f0, g0, np.array([-1.0, 0.0]), lower, upper)
+    assert ev.counts().batches == 1

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as hst
 
+from paropt import CoupledEvaluator
 from paropt.errors import ConfigError, DegenerateBoundsError, DimensionError
-from paropt.stencil import (FORWARD, as_parameter_vector, assemble_gradient,
+from paropt.stencil import (FORWARD, SCHEMES, as_parameter_vector, assemble_gradient,
                             build_stencil, validate_bounds, validate_eps)
 
 
@@ -137,3 +140,43 @@ def test_bounds_validation():
         validate_bounds([0.0], None, 2)
     with pytest.raises(DimensionError):
         validate_bounds(None, [1.0, 2.0, 3.0], 2)
+
+
+# room between the center and a bound: none, tight, ordinary, or unbounded
+ROOM = hst.one_of(hst.just(0.0), hst.sampled_from([1e-300, 1e-12, 1e-6]),
+                  hst.floats(0.0, 10.0), hst.just(np.inf))
+
+
+@hst.composite
+def stencil_cases(draw):
+    """(center, eps, scheme, lower, upper), the center inside the box and
+    each coordinate with room on at least one side."""
+    p = draw(hst.integers(1, 4))
+    center = np.array(draw(hst.lists(hst.floats(-10.0, 10.0), min_size=p, max_size=p)))
+    lower = center - np.array(draw(hst.lists(ROOM, min_size=p, max_size=p)))
+    upper = center + np.array(draw(hst.lists(ROOM, min_size=p, max_size=p)))
+    assume(np.all((lower < center) | (center < upper)))
+    eps = np.array(draw(hst.lists(hst.floats(1e-8, 1.0), min_size=p, max_size=p)))
+    return center, eps, draw(hst.sampled_from(SCHEMES)), lower, upper
+
+
+@given(stencil_cases())
+def test_stencil_stays_in_the_box_in_contract_order(case):
+    center, eps, scheme, lower, upper = case
+    points = build_stencil(center, eps, scheme, lower, upper).points
+    assert (points[0].role, points[0].coord) == ("center", -1)
+    assert np.array_equal(points[0].point, center)
+    # per coordinate ascending, plus before minus
+    keys = [(pt.coord, {"plus": 0, "minus": 1}[pt.role]) for pt in points[1:]]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for pt in points:
+        assert np.all(lower <= pt.point) and np.all(pt.point <= upper)
+        others = np.arange(center.size) != pt.coord
+        assert np.array_equal(pt.point[others], center[others])
+
+    calls = []
+    ev = CoupledEvaluator(lambda x: calls.append(x) or float(np.sum(x)), center.size,
+                          scheme=scheme, eps=eps, lower=lower, upper=upper)
+    ev.value_and_gradient(center)
+    assert ev.counts().fn_calls == len(calls) == len(points)
+    assert ev.counts().batches == 1

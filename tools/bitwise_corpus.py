@@ -13,9 +13,10 @@ the log CSV, or the exception the solve raised.
 `compare` prints each solve whose digest differs, then counts per group.
 The groups: `bench`, the benchmark's start points (seeds 1-10); `rosen`,
 chained Rosenbrock in 2, 3 and 10 dimensions from 20 starts, every method,
-analytic, `eps=1e-5` and default-`eps` gradients; `box`, 5 of those starts
-with `lbfgsb` in `x <= 0.8` and in `x[0] <= 0.5`; `negll`, `normal_negll`
-from a 30-start grid, every method, analytic and `eps=1e-5` gradients.
+analytic, central `eps=1e-5`, central default-`eps` and forward `eps=1e-5`
+gradients; `box`, 5 of those starts with `lbfgsb` in `x <= 0.8` and in
+`x[0] <= 0.5`; `negll`, `normal_negll` from a 30-start grid, every method,
+analytic and central `eps=1e-5` gradients.
 """
 
 import argparse
@@ -32,7 +33,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import WORKLOADS, rosenbrock, rosenbrock_gradient  # noqa: E402
 
 METHODS = ("lbfgsb", "bfgs", "cg")
-GRADIENTS = {"analytic": {}, "eps1e-5": {"eps": 1e-5}, "eps-default": {}}
+GRADIENTS = {"analytic": {}, "eps1e-5": {"eps": 1e-5}, "eps-default": {},
+             "forward1e-5": {"scheme": "forward", "eps": 1e-5}}
 
 
 def corpus():
