@@ -5,8 +5,7 @@ worker-pool batches, iteration logging, and a timing benchmark."""
 from .bench import BenchConfig, BenchRow, emit_bench_csv, run_benchmark
 from .data import gen_normal_dataset, load_dataset
 from .engine import WorkerPool, evaluate_batch, parallel_value_and_gradient
-from .errors import (ConfigError, DatasetError, DegenerateBoundsError,
-                     DimensionError, EvaluationError)
+from .errors import ConfigError, DatasetError, DimensionError, EvaluationError
 from .evaluator import ANALYTIC, CoupledEvaluator, EvalCounts, make_coupled_evaluator
 from .gradcheck import GradCheckReport, GradCheckRow, agreement_tolerance, check_gradient
 from .iterlog import IterationLog, LogRow, format_float
@@ -28,7 +27,6 @@ __all__ = [
     "Convergence",
     "CoupledEvaluator",
     "DatasetError",
-    "DegenerateBoundsError",
     "DimensionError",
     "EvalCounts",
     "EvaluationError",

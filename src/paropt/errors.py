@@ -9,11 +9,6 @@ class ConfigError(ValueError):
     """Invalid configuration: bad step sizes, inverted bounds, bad options."""
 
 
-class DegenerateBoundsError(ConfigError):
-    """A coordinate's feasible interval is too narrow to place any nonzero
-    finite-difference step."""
-
-
 class DimensionError(ValueError):
     """A vector's length does not match the problem dimension."""
 

@@ -94,19 +94,6 @@ class CoupledEvaluator:
         """Gradient at par; a cache miss evaluates both fn and gr."""
         return self.value_and_gradient(par)[1]
 
-    def objective_value(self, par) -> float:
-        """Objective alone at par, without forming a gradient.
-
-        For when no gradient can exist (degenerate bounds leave no stencil
-        room); served from the cache when the point was already evaluated.
-        """
-        x = st.as_parameter_vector(par, self.dim)
-        if x.tobytes() == self._key:
-            return self._value
-        self._batches += 1
-        self._fn_calls += 1
-        return evaluate_batch(self.pool, self._objective, [x])[0]
-
     def counts(self) -> EvalCounts:
         """Snapshot of the evaluation counters."""
         return EvalCounts(self._fn_calls, self._gr_calls, self._batches)
@@ -129,11 +116,9 @@ class CoupledEvaluator:
                 self.pool, self._objective, [pt.point for pt in sten.points]
             )
             value, grad = st.assemble_gradient(values, sten)
-            # finite values can still overflow in the difference quotient
-            if not np.all(np.isfinite(grad)):
-                raise EvaluationError(
-                    f"gradient has non-finite entries {grad} at {x}", point=x
-                )
+        # an analytic gradient, or a quotient of finite values that overflowed
+        if not np.all(np.isfinite(grad)):
+            raise EvaluationError(f"gradient has non-finite entries {grad} at {x}", point=x)
         return value, grad
 
     def close(self):

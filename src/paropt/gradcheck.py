@@ -12,7 +12,7 @@ from .stencil import CENTRAL, as_parameter_vector, validate_bounds
 
 ABS_FLOOR = 1e-6
 REL_FACTOR = 1e-4
-MARGIN = 1e-2  # distance kept from each bound by sampled points
+MARGIN = 1e-2  # distance sampled points keep from each bound, less in a narrower box
 
 
 def agreement_tolerance(gradient: np.ndarray) -> float:
@@ -51,14 +51,21 @@ class GradCheckReport:
 def sample_feasible_points(center, count, seed, lower=None, upper=None,
                            spread=1.0):
     """Uniform draws in a box of half-width spread around center, pushed
-    inside the bounds by MARGIN so stencils stay two-sided."""
+    inside the bounds by MARGIN, or by half the width of a narrower box, so
+    stencils stay two-sided.  A box that fixes a coordinate is refused: no
+    difference can check that coordinate."""
     center = as_parameter_vector(center)
     lo, hi = validate_bounds(lower, upper, center.size)
+    if np.any(lo == hi):
+        bad = int(np.argmax(lo == hi))
+        raise ConfigError(f"bounds fix coordinate {bad} at {lo[bad]}, "
+                          f"so no difference can check its gradient")
+    margin = np.minimum(MARGIN, (hi - lo) / 2)
     rng = np.random.Generator(np.random.PCG64(seed))
     points = []
     for _ in range(count):
         x = center + rng.uniform(-spread, spread, size=center.size)
-        points.append(np.clip(x, lo + MARGIN, hi - MARGIN))
+        points.append(np.clip(x, lo + margin, hi - margin))
     return points
 
 

@@ -32,9 +32,6 @@ class LbfgsHistory:
             self._pairs.pop(0)
         return True
 
-    def reset(self) -> None:
-        self._pairs.clear()
-
     def gamma(self) -> float:
         """Initial inverse-Hessian scaling s.y / y.y from the newest pair."""
         if not self._pairs:
@@ -61,18 +58,19 @@ class LbfgsHistory:
         return -r
 
 
-def bfgs_update(H: np.ndarray, s, y, first: bool = False) -> np.ndarray:
+def bfgs_update(H: np.ndarray | None, s, y) -> np.ndarray | None:
     """Dense inverse-Hessian BFGS update; returns H unchanged when s.y <= 0.
 
-    On the first successful update H is rescaled to (s.y / y.y) I before the
-    update is applied, the standard initial-scale heuristic.
+    H None is the unscaled identity before the first update, which rescales
+    it to (s.y / y.y) I before applying the update, the standard
+    initial-scale heuristic.
     """
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     sy = float(np.dot(s, y))
     if sy <= 0.0:
         return H
-    if first:
+    if H is None:
         H = (sy / float(np.dot(y, y))) * np.eye(len(s))
     rho = 1.0 / sy
     Hy = H @ y

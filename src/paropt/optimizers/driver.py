@@ -13,7 +13,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from ..engine import WorkerPool
-from ..errors import ConfigError, DegenerateBoundsError
+from ..errors import ConfigError
 from ..evaluator import ANALYTIC, CoupledEvaluator
 from ..iterlog import IterationLog
 from ..stencil import as_parameter_vector
@@ -65,7 +65,7 @@ def optimize(objective, par0, gradient=None, *, options=None, pool=None,
     Returns
     -------
     OptimResult
-        Final point, value, evaluation counts, convergence code 0-3,
+        Final point, value, evaluation counts, convergence code 0-2,
         message, and the iteration log when ``loginfo`` is set.
     """
     if options is None:
@@ -87,14 +87,7 @@ def _minimize(ev, par, opts, log):
     method = opts.method
     lower, upper = ev.lower, ev.upper
 
-    try:
-        f, g = ev.value_and_gradient(par)
-    except DegenerateBoundsError:
-        # a fixed coordinate leaves no room for any difference stencil
-        return OptimResult(par=par, value=ev.objective_value(par),
-                           counts=ev.counts(), convergence=Convergence.DEGENERATE,
-                           message="bounds fix a coordinate, finite differences are degenerate",
-                           log=log)
+    f, g = ev.value_and_gradient(par)
     if log is not None:
         log.append(par, f, g)
 
@@ -182,7 +175,7 @@ def _minimize(ev, par, opts, log):
         if method == LBFGSB:
             history.update(s, y)
         elif method == BFGS:
-            hessian = bfgs_update(hessian, s, y, first=hessian is None)
+            hessian = bfgs_update(hessian, s, y)
         else:
             prev_g, prev_d = g, d
             steps_since_restart += 1

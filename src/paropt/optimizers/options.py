@@ -22,12 +22,13 @@ MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 
 class Convergence(enum.IntEnum):
-    """Termination status; integer values follow the 0=ok, 1=maxit convention."""
+    """Termination status: 0 converged and 1 iteration limit reached, as in
+    optim, and 2 line search failed.  A coordinate the box fixes is held at
+    its bound, so it has no code of its own."""
 
     CONVERGED = 0
     MAXIT_REACHED = 1
     LINE_SEARCH_FAILURE = 2
-    DEGENERATE = 3
 
 
 @dataclass

@@ -30,7 +30,6 @@ class ProblemSpec:
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     par0: Optional[np.ndarray] = None
-    requires_data: bool = False
     summary: str = ""
 
     def check_dimension(self, par) -> None:
@@ -108,7 +107,6 @@ def normal_negll_problem(data) -> ProblemSpec:
     return ProblemSpec("normal_negll", objective, gradient, p=2,
                        lower=np.array([-np.inf, 1e-4]),
                        par0=np.array([1.0, 1.0]),
-                       requires_data=True,
                        summary="normal-sample negative log-likelihood in (mu, sigma); needs data")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateBoundsError, DimensionError
+from .errors import ConfigError, DimensionError
 
 CENTRAL = "central"
 FORWARD = "forward"
@@ -43,9 +43,10 @@ class Stencil:
         (f(x + h_plus[i] e_i) - f(x - h_minus[i] e_i)) / (h_plus[i] + h_minus[i])
 
     where a zero step on either side means that side's value is read from
-    the center evaluation instead of a separate point.  `plus_index` and
-    `minus_index` map each coordinate to the position (in `points`) holding
-    that side's value; index 0 is always the center.
+    the center evaluation instead of a separate point.  A coordinate the
+    box fixes has both steps zero, no point and a quotient of 0.0.
+    `plus_index` and `minus_index` map each coordinate to the position (in
+    `points`) holding that side's value; index 0 is always the center.
     """
 
     points: list[StencilPoint]
@@ -106,7 +107,8 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
     stencil 1+p.  Near a bound the step on the violating side is clamped to
     the remaining room (capped at eps); a side clamped to zero drops its
     point and the quotient falls back to the one-sided difference using the
-    other side.  Both sides collapsing is an error.
+    other side.  A coordinate with no room on either side (lower == upper)
+    gets no point, and its quotient is 0.0.
     """
     x = as_parameter_vector(center)
     p = x.size
@@ -128,13 +130,6 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
     if scheme == FORWARD:
         # Forward uses the plus side only; fall back to backward at a bound.
         h_minus = np.where(h_plus > 0.0, 0.0, h_minus)
-
-    if np.any(h_plus + h_minus <= 0.0):
-        bad = int(np.argmax(h_plus + h_minus <= 0.0))
-        raise DegenerateBoundsError(
-            f"coordinate {bad}: interval [{lo[bad]}, {hi[bad]}] leaves no room "
-            f"for a finite-difference step at x={x[bad]}"
-        )
 
     points = [StencilPoint(x.copy(), "center", -1)]
     plus_index = np.zeros(p, dtype=np.intp)
@@ -164,6 +159,7 @@ def assemble_gradient(values, stencil: Stencil) -> tuple[float, np.ndarray]:
             f"for a stencil of {len(stencil.points)} points"
         )
     denom = stencil.h_plus + stencil.h_minus
+    denom[denom == 0.0] = np.inf  # a fixed coordinate: center minus center, over inf
     with np.errstate(over="ignore"):  # the evaluator reports a non-finite quotient
         grad = (vals[stencil.plus_index] - vals[stencil.minus_index]) / denom
     return float(vals[0]), grad

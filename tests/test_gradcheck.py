@@ -57,3 +57,15 @@ def test_likelihood_gradient_agrees():
     report = check_gradient(prob.objective, prob.gradient, prob.par0,
                             lower=prob.lower, upper=prob.upper, spread=0.5)
     assert report.passed
+
+
+def test_box_narrower_than_two_margins_keeps_points_two_sided():
+    report = check_gradient(sum_sq, sum_sq_grad, [0.5], lower=[0.5], upper=[0.51],
+                            points=3)
+    assert report.passed
+    assert all(0.5 < row.point[0] < 0.51 for row in report.rows)
+
+
+def test_fixed_coordinate_is_refused_by_name():
+    with pytest.raises(ConfigError, match="coordinate 0"):
+        check_gradient(sum_sq, sum_sq_grad, [0.0], lower=[0.0], upper=[0.0])

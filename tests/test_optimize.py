@@ -157,19 +157,55 @@ def test_iteration_limit_returns_code_1():
     assert "limit" in r.message
 
 
-def test_fixed_coordinate_with_differences_is_degenerate():
-    r = optimize(sum_sq, [0.5, 0.5], lower=[0.0, 0.5], upper=[1.0, 0.5], maxit=5)
-    assert r.code == 3
-    assert r.value == 0.5
-    assert r.counts.fn_calls == 1
-    assert r.counts.batches == 1
+GRADIENT_KINDS = {"analytic": dict(gradient=sum_sq_grad), "central": {},
+                  "forward": dict(scheme="forward")}
 
 
-def test_fixed_coordinate_with_analytic_gradient_still_optimizes():
-    r = optimize(sum_sq, [0.5, 0.5], sum_sq_grad,
-                 lower=[0.0, 0.5], upper=[1.0, 0.5])
+@pytest.mark.parametrize("kind", GRADIENT_KINDS.values(), ids=GRADIENT_KINDS.keys())
+def test_fixed_coordinate_is_held(kind):
+    r = optimize(sum_sq, [0.5, 0.5], lower=[0.0, 0.5], upper=[1.0, 0.5], **kind)
     assert r.converged
     assert r.par.tolist() == [0.0, 0.5]
+
+
+@st.composite
+def held_boxes(draw):
+    """(start, shift, fixed): a start, the minimizer of a shifted quadratic,
+    and the coordinates a box fixes at that minimizer."""
+    dim = draw(st.integers(1, 4))
+    vectors = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim).map(np.array)
+    fixed = draw(st.lists(st.booleans(), min_size=dim, max_size=dim).filter(any))
+    return draw(vectors), draw(vectors), np.array(fixed)
+
+
+def solve_shifted_quadratic(start, shift, kind, **options):
+    gradient = (lambda x: 2.0 * (x - shift)) if kind == "analytic" else None
+    return optimize(lambda x: float(np.dot(x - shift, x - shift)), start, gradient,
+                    scheme="forward" if kind == "forward" else "central",
+                    loginfo=True, **options)
+
+
+@given(box=held_boxes(), kind=st.sampled_from(sorted(GRADIENT_KINDS)))
+def test_fixed_coordinates_are_held_bitwise_on_1_and_3_workers(box, kind):
+    start, shift, fixed = box
+    a, b = [solve_shifted_quadratic(start, shift, kind, workers=w,
+                                    lower=np.where(fixed, shift, -np.inf),
+                                    upper=np.where(fixed, shift, np.inf))
+            for w in (1, 3)]
+    for par in [a.par] + [row.par for row in a.log.rows]:
+        assert par[fixed].tobytes() == shift[fixed].tobytes()
+    assert a.par.tobytes() == b.par.tobytes()
+    assert (a.value, a.code, a.message, a.counts) == (b.value, b.code, b.message, b.counts)
+    assert a.log.to_csv() == b.log.to_csv()
+    if fixed.all():
+        assert (a.code, a.counts.batches) == (0, 1)
+        return
+    # a held term adds exactly 0.0, so the run is the run on the free
+    # coordinates alone, however that one ends
+    free = solve_shifted_quadratic(start[~fixed], shift[~fixed], kind)
+    assert a.par[~fixed].tobytes() == free.par.tobytes()
+    assert (a.value, a.code, a.message, a.counts) == (free.value, free.code, free.message,
+                                                      free.counts)
 
 
 def test_misleading_gradient_fails_the_line_search():

@@ -7,7 +7,7 @@ import pytest
 
 from paropt import (ConfigError, DatasetError, EvaluationError, gen_normal_dataset,
                     get_problem, optimize, problem_names)
-from paropt.problems import LOG_2PI, normal_negll_problem
+from paropt.problems import DATA_PROBLEMS, LOG_2PI, normal_negll_problem
 
 
 def test_registry_names_in_order():
@@ -127,7 +127,7 @@ def test_negll_default_shape():
     assert prob.p == 2
     assert prob.lower.tolist() == [-np.inf, 1e-4]
     assert prob.par0.tolist() == [1.0, 1.0]
-    assert prob.requires_data
+    assert "normal_negll" in DATA_PROBLEMS
 
 
 def test_sleep_registry_entry_is_instant():

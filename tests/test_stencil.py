@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as hst
 
 from paropt import CoupledEvaluator
-from paropt.errors import ConfigError, DegenerateBoundsError, DimensionError
+from paropt.errors import ConfigError, DimensionError
 from paropt.stencil import (FORWARD, SCHEMES, as_parameter_vector, assemble_gradient,
                             build_stencil, validate_bounds, validate_eps)
 
@@ -64,9 +64,14 @@ def test_forward_falls_back_to_backward_at_bound():
     assert st.h_minus[0] > 0.0
 
 
-def test_degenerate_interval_raises():
-    with pytest.raises(DegenerateBoundsError):
-        build_stencil(np.array([0.5, 0.5]), 1e-3, lower=[0.0, 0.5], upper=[1.0, 0.5])
+def test_fixed_coordinate_gets_no_point_and_a_zero_quotient():
+    for scheme in SCHEMES:
+        st = build_stencil(np.array([0.5, 0.5]), 1e-3, scheme=scheme,
+                           lower=[0.0, 0.5], upper=[1.0, 0.5])
+        assert all(pt.coord != 1 and pt.point[1] == 0.5 for pt in st.points)
+        assert st.plus_index[1] == st.minus_index[1] == 0
+        values = np.arange(len(st.points), dtype=np.float64)
+        assert assemble_gradient(values, st)[1][1] == 0.0
 
 
 def test_center_outside_bounds_raises():

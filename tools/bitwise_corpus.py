@@ -15,8 +15,10 @@ The groups: `bench`, the benchmark's start points (seeds 1-10); `rosen`,
 chained Rosenbrock in 2, 3 and 10 dimensions from 20 starts, every method,
 analytic, central `eps=1e-5`, central default-`eps` and forward `eps=1e-5`
 gradients; `box`, 5 of those starts with `lbfgsb` in `x <= 0.8` and in
-`x[0] <= 0.5`; `negll`, `normal_negll` from a 30-start grid, every method,
-analytic and central `eps=1e-5` gradients.
+`x[0] <= 0.5`; `fixed`, the same 5 starts with `lbfgsb` and a box that fixes
+`x[1]` at its start (`lower[1] == upper[1]`); `negll`, `normal_negll` from a
+30-start grid, every method, analytic and central `eps=1e-5` gradients.
+1600 solves in all.
 """
 
 import argparse
@@ -55,11 +57,16 @@ def corpus():
             for method in METHODS:
                 yield ("rosen", f"{dim}/{kind}/{method}/{i}", rosenbrock, grad, x,
                        dict(kw, method=method, maxit=1000))
+            if i >= 5:
+                continue
             for box, upper in (("x<=0.8", np.full(dim, 0.8)),
                                ("x0<=0.5", np.r_[0.5, np.full(dim - 1, np.inf)])):
-                if i < 5:
-                    yield ("box", f"{dim}/{kind}/{box}/{i}", rosenbrock, grad, x,
-                           dict(kw, upper=upper, maxit=1000))
+                yield ("box", f"{dim}/{kind}/{box}/{i}", rosenbrock, grad, x,
+                       dict(kw, upper=upper, maxit=1000))
+            held = np.arange(dim) == 1
+            yield ("fixed", f"{dim}/{kind}/{i}", rosenbrock, grad, x,
+                   dict(kw, lower=np.where(held, x[1], -np.inf),
+                        upper=np.where(held, x[1], np.inf), maxit=1000))
     spec = normal_negll_problem(gen_normal_dataset(200, seed=1))
     for mu, sigma in itertools.product(np.linspace(-2, 8, 6), (1e-3, 1e-2, 0.1, 1.0, 5.0)):
         for kind, method in itertools.product(("analytic", "eps1e-5"), METHODS):
