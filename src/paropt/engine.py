@@ -2,17 +2,17 @@
 
 A pool of `size` evaluation slots runs pure-function tasks and hands the
 results back in submission order, so outputs are bitwise-independent of
-pool size and of task completion order.  Slot 0 is the calling thread; the
-other `size - 1` slots are daemon threads, each with its own FIFO inbox.
-Every batch takes one path: it is split into at most `size` contiguous
-chunks of tasks, one per slot; the caller runs the first chunk itself and
-then takes one end report per slot chunk from the batch's done queue.
+pool size and of task completion order.  A batch is split into at most
+`size` contiguous chunks: the calling thread, slot 0, runs the first, and any
+free one of `size - 1` daemon threads sharing one FIFO inbox runs each other
+and reports its end on the batch's done queue.  A calling thread is slot 0
+of its own batches, so K callers can run up to K + size - 1 tasks at once.
 
 Every pool size follows one error policy: a task's Exception is held until
 the whole batch has drained, then the first in submission order is
-re-raised; any other BaseException (such as KeyboardInterrupt) goes ahead
-of them, at once on the calling thread, and after the other chunks finish
-when it ends a slot thread's chunk; a closed pool raises RuntimeError.
+re-raised; any other BaseException (such as KeyboardInterrupt) goes ahead,
+at once on the calling thread, after the other chunks on a slot thread.
+close() lets batches already submitted finish; later ones raise RuntimeError.
 
 Wall-clock speedup requires the objective to release the GIL while it
 works (time.sleep, I/O, numpy/BLAS kernels, other C extensions).  That
@@ -54,18 +54,18 @@ def _serve(inbox):
         done.put(report)
 
 
-def _stop_slots(inboxes):
-    for inbox in inboxes:
+def _stop_slots(inbox, threads):
+    for _ in range(threads):
         inbox.put(None)
 
 
 class WorkerPool:
     """Fixed-size pool of evaluation slots with a blocking batch-submit API.
 
-    The calling thread is slot 0, and `size - 1` daemon threads are the
-    rest; a batch is split into contiguous chunks, one per slot, and the
-    caller takes one end report per slot chunk.  Safe to share across
-    sequential optimization runs; a single run issues one batch at a time.
+    The calling thread is slot 0, and `size - 1` daemon threads sharing one
+    inbox are the rest; any free thread runs a batch's next chunk, and the
+    caller takes one end report per slot chunk.  Threads may run batches, or
+    whole optimization runs, on one pool at once, each as slot 0 of its own.
     Use as a context manager or call close(); a pool that is dropped
     unclosed stops its threads when it is collected.
     """
@@ -73,13 +73,14 @@ class WorkerPool:
     def __init__(self, size: int = 1):
         self.size = check_count("worker pool size", size)
         self._closed = False
-        self._inboxes = [queue.SimpleQueue() for _ in range(self.size - 1)]
-        self._threads = [threading.Thread(target=_serve, args=(inbox,), daemon=True,
+        self._lock = threading.Lock()  # orders close() against batch submission
+        self._inbox = queue.SimpleQueue()
+        self._threads = [threading.Thread(target=_serve, args=(self._inbox,), daemon=True,
                                           name=f"paropt-slot-{slot}")
-                         for slot, inbox in enumerate(self._inboxes, 1)]
+                         for slot in range(1, self.size)]
         for thread in self._threads:
             thread.start()
-        self._stop = weakref.finalize(self, _stop_slots, self._inboxes)
+        self._stop = weakref.finalize(self, _stop_slots, self._inbox, self.size - 1)
 
     def run_batch(self, tasks):
         """Run zero-arg callables, returning results in submission order.
@@ -88,19 +89,20 @@ class WorkerPool:
         first of them in submission order is re-raised.  Any other
         BaseException, such as KeyboardInterrupt, goes ahead of them: at
         once when a task on the calling thread raises it, after the other
-        chunks finish when one on a slot thread does.  A closed pool raises
-        RuntimeError.
+        chunks finish when one on a slot thread does.  A batch submitted
+        after close() raises RuntimeError; one submitted before it finishes.
         """
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
         tasks = list(tasks)
         n = len(tasks)
         chunks = max(1, min(self.size, n))
         bounds = [n * c // chunks for c in range(chunks + 1)]
         outcomes = [None] * n
         done = queue.SimpleQueue()
-        for inbox, lo, hi in zip(self._inboxes, bounds[1:], bounds[2:]):
-            inbox.put((tasks, outcomes, lo, hi, done))
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                self._inbox.put((tasks, outcomes, lo, hi, done))
         _run(tasks, outcomes, 0, bounds[1])
         for report in [done.get() for _ in range(chunks - 1)]:
             if report is not None:
@@ -111,8 +113,9 @@ class WorkerPool:
         return [result for result, _ in outcomes]
 
     def close(self):
-        self._closed = True
-        self._stop()
+        with self._lock:
+            self._closed = True
+            self._stop()
         for thread in self._threads:
             thread.join()
 

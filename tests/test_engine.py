@@ -103,6 +103,54 @@ def test_pool_size_must_be_positive(size):
         WorkerPool(size)
 
 
+def _in_a_thread(fn):
+    """Run fn in a daemon thread for at most 5 s; its return value, or the
+    Exception it raised.  A hang fails the test instead of stalling it."""
+    out = []
+
+    def call():
+        try:
+            out.append(fn())
+        except Exception as exc:  # reported by the caller's assertion
+            out.append(exc)
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive(), "run_batch hung"
+    return out[0]
+
+
+def test_close_while_the_tasks_are_listed_refuses_the_batch():
+    # close() runs to the end while run_batch builds its task list, so the
+    # slot threads are gone before any chunk could be put
+    pool = WorkerPool(3)
+
+    def tasks():
+        closer = threading.Thread(target=pool.close)
+        closer.start()
+        closer.join()
+        yield from (lambda i=i: i for i in range(3))
+
+    err = _in_a_thread(lambda: pool.run_batch(tasks()))
+    assert isinstance(err, RuntimeError) and str(err) == "worker pool is closed"
+
+
+def test_close_lets_a_submitted_batch_finish():
+    # chunk 0 closes the pool while chunks 1-2 wait or run on the slot threads
+    pool = WorkerPool(3)
+
+    def nap(i):
+        def task():
+            time.sleep(0.05)
+            return i
+        return task
+
+    assert _in_a_thread(lambda: pool.run_batch([pool.close, nap(1), nap(2)])) == [None, 1, 2]
+    with pytest.raises(RuntimeError, match="worker pool is closed"):
+        pool.run_batch([nap(0)])
+
+
 class _Failure(Exception):
     pass
 
@@ -166,6 +214,25 @@ def test_sleep_tasks_overlap():
         pool.run_batch([nap] * 4)
         elapsed = time.perf_counter() - start
     assert elapsed < 0.3  # serial would take >= 0.4
+
+
+def test_concurrent_batches_overlap():
+    # any free slot thread takes the next chunk, so the second chunks of
+    # four 2-task batches run side by side rather than one after another
+    def nap():
+        time.sleep(0.1)
+
+    with WorkerPool(8) as pool:
+        pool.run_batch([nap] * 8)  # spin up the threads
+        callers = [threading.Thread(target=pool.run_batch, args=([nap, nap],))
+                   for _ in range(4)]
+        start = time.perf_counter()
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join()
+        elapsed = time.perf_counter() - start
+    assert elapsed < 0.25  # one slot thread per second chunk would take >= 0.4
 
 
 def test_interrupt_on_the_calling_thread_leaves_the_pool_usable():

@@ -1,11 +1,13 @@
 """End-to-end optimization behavior for the three methods."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from paropt import ConfigError, EvaluationError, OptimOptions, optimize
+from paropt import ConfigError, EvaluationError, OptimOptions, WorkerPool, optimize
 from paropt.optimizers import LineSearchFailure, driver, wolfe_line_search
 
 
@@ -368,6 +370,68 @@ def test_rosenbrock_is_bitwise_the_same_on_1_and_3_workers(method, jitter):
     assert a.par.tobytes() == b.par.tobytes()
     assert (a.value, a.code, a.message, a.counts) == (b.value, b.code, b.message, b.counts)
     assert a.log.to_csv() == b.log.to_csv()
+
+
+def outcome(r):
+    """Everything a solve reports, in a form that compares bitwise."""
+    return r.par.tobytes(), r.value, r.code, r.message, r.counts, r.log.to_csv()
+
+
+def solve_chained_rosenbrock(functions, start, kind, **options):
+    fn, gr = functions
+    return optimize(fn, start, gr if kind == "analytic" else None,
+                    scheme="forward" if kind == "forward" else "central",
+                    loginfo=True, **options)
+
+
+def starts(dim):
+    return st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim).map(np.array)
+
+
+# the fixture only hands out two pure functions, so sharing it across
+# examples is safe
+@settings(max_examples=8, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(size=st.integers(1, 8), dim=st.integers(2, 4), data=st.data())
+def test_concurrent_solves_on_one_pool_equal_their_solo_runs(size, dim, data,
+                                                             chained_rosenbrock):
+    solves = data.draw(st.lists(st.tuples(st.sampled_from(["lbfgsb", "bfgs", "cg"]),
+                                          st.sampled_from(sorted(GRADIENT_KINDS)),
+                                          starts(dim)),
+                                min_size=2, max_size=4))
+
+    def run(pool, method, kind, start):
+        return outcome(solve_chained_rosenbrock(chained_rosenbrock, start, kind,
+                                                method=method, pool=pool))
+
+    with WorkerPool(1) as pool:
+        solo = [run(pool, *solve) for solve in solves]
+    with WorkerPool(size) as pool, \
+            concurrent.futures.ThreadPoolExecutor(len(solves)) as callers:
+        shared = list(callers.map(lambda solve: run(pool, *solve), solves))
+    assert shared == solo
+
+
+@st.composite
+def boxed_solves(draw):
+    """(start, kind, eps, lower, upper) with a stencil longer than 3 slots:
+    central differences in 2-5 dimensions, forward in 3-5."""
+    kind = draw(st.sampled_from(["central", "forward"]))
+    dim = draw(st.integers(2 if kind == "central" else 3, 5))
+    ends = draw(st.tuples(*[st.lists(st.one_of(st.just(inf), st.floats(-2.0, 2.0)),
+                                     min_size=dim, max_size=dim)
+                            for inf in (-np.inf, np.inf)]).filter(lambda e: np.isfinite(e).any()))
+    eps = 10.0 ** draw(st.floats(-7.0, -2.0))
+    return draw(starts(dim)), kind, eps, np.minimum(*ends), np.maximum(*ends)
+
+
+@settings(max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=boxed_solves())
+def test_boxed_lbfgsb_is_bitwise_the_same_on_1_and_3_workers(case, chained_rosenbrock):
+    start, kind, eps, lower, upper = case
+    a, b = [outcome(solve_chained_rosenbrock(chained_rosenbrock, start, kind, eps=eps,
+                                             lower=lower, upper=upper, workers=w))
+            for w in (1, 3)]
+    assert a == b
 
 
 @pytest.mark.parametrize("upper", [np.full(10, 0.8), np.r_[0.5, np.full(9, np.inf)]],

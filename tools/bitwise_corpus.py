@@ -1,15 +1,17 @@
 """Per-solve digests of a fixed corpus, to check that a change leaves results
 bitwise the same.
 
-    PYTHONPATH=src python tools/bitwise_corpus.py run after.jsonl [--workers N]
+    PYTHONPATH=src python tools/bitwise_corpus.py run after.jsonl [--workers N] [--callers K]
     python tools/bitwise_corpus.py compare before.jsonl after.jsonl
 
 `run` solves the corpus with the paropt on the import path (point PYTHONPATH
 at another checkout's `src` to digest that one), on one pool of N slots
-(default 1) with no stall.  Results must not depend on N, so comparing a
-1-worker file with an N-worker file checks that promise.  It writes one
-JSON line per solve: par bytes, value, code, message, counts and a hash of
-the log CSV, or the exception the solve raised.
+(default 1) with no stall.  K threads (default 1) share that pool, each
+taking the next unsolved entry of the corpus, so up to K solves run at once.
+Results must depend on neither N nor K, so comparing a 1-worker file with
+an N-worker or K-caller file checks that promise.  It writes one JSON line
+per solve, in corpus order: par bytes, value, code, message, counts and a
+hash of the log CSV, or the exception the solve raised.
 `compare` prints each solve whose digest differs, then counts per group.
 The groups: `bench`, the benchmark's start points (seeds 1-10); `rosen`,
 chained Rosenbrock in 2, 3 and 10 dimensions from 20 starts, every method,
@@ -23,6 +25,7 @@ gradients; `box`, 5 of those starts with `lbfgsb` in `x <= 0.8` and in
 
 import argparse
 import collections
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -97,13 +100,18 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=("run", "compare"))
     parser.add_argument("files", nargs="+", help="run: OUT; compare: BEFORE AFTER")
     parser.add_argument("--workers", type=int, default=1, help="run: pool slots (default 1)")
+    parser.add_argument("--callers", type=int, default=1,
+                        help="run: threads solving at once on the pool (default 1)")
     args = parser.parse_args(argv)
     if args.command == "run":
         import paropt
+        solves = list(corpus())
         with open(args.files[0], "w", encoding="utf-8") as fh, \
-                paropt.WorkerPool(args.workers) as pool:
-            for group, key, *solve in corpus():
-                fh.write(json.dumps({"group": group, "key": key, **digest(pool, *solve)}) + "\n")
+                paropt.WorkerPool(args.workers) as pool, \
+                concurrent.futures.ThreadPoolExecutor(args.callers) as callers:
+            digests = callers.map(lambda solve: digest(pool, *solve[2:]), solves)
+            for (group, key, *_), d in zip(solves, digests):
+                fh.write(json.dumps({"group": group, "key": key, **d}) + "\n")
         return 0
     before, after = ({(d["group"], d["key"]): d
                       for d in map(json.loads, Path(p).read_text(encoding="utf-8").splitlines())}
