@@ -92,13 +92,7 @@ class IterationLog:
         return log
 
     def __eq__(self, other) -> bool:
+        """Equal exactly when the CSV forms are, the round-trip contract."""
         if not isinstance(other, IterationLog):
             return NotImplemented
-        if self.dim != other.dim or len(self.rows) != len(other.rows):
-            return False
-        for a, b in zip(self.rows, other.rows):
-            if a.iter != b.iter or a.fn != b.fn:
-                return False
-            if a.par.tobytes() != b.par.tobytes() or a.gr.tobytes() != b.gr.tobytes():
-                return False
-        return True
+        return self.to_csv() == other.to_csv()

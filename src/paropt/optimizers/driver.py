@@ -147,10 +147,6 @@ def _minimize(ev, par, opts, log):
                 # retry from the same point along projected steepest descent
                 drop_memory = True
                 continue
-            if exc.best is not None and exc.best[1] < f:
-                par, f, g = exc.best
-                if log is not None:
-                    log.append(par, f, g)
             if exc.rounded and ev.mode != ANALYTIC:
                 # the difference gradient's error swamps the slope: no
                 # representable step decreases the objective along it

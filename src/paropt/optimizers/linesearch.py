@@ -52,11 +52,11 @@ QUADRATIC_FIT_TOL = 1e-6
 
 
 class LineSearchFailure(Exception):
-    """No acceptable step was found; carries the best finite point seen."""
+    """No acceptable step was found.  Carries no trial point, so a failed
+    search leaves its caller at x0."""
 
-    def __init__(self, message, best=None, trials=0, rounded=False):
+    def __init__(self, message, trials=0, rounded=False):
         super().__init__(message)
-        self.best = best  # (par, value, gradient) or None
         self.trials = trials
         self.rounded = rounded  # the next trial point rounded onto x0
 
@@ -150,7 +150,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     if alpha_max <= 0.0:
         raise ValueError("no feasible movement along the search direction")
 
-    state = {"trials": 0, "best": None}
+    trials = 0
 
     def point(alpha):
         if cap is not None and alpha >= alpha_max:
@@ -158,10 +158,9 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
         return alpha, np.clip(x0 + alpha * d, lower, upper)
 
     def trial(alpha, xt):
-        state["trials"] += 1
+        nonlocal trials
+        trials += 1
         f, g = evaluator.value_and_gradient(xt)
-        if state["best"] is None or f < state["best"][1]:
-            state["best"] = (xt, f, g)
         return alpha, xt, f, g, float(np.dot(g, d))
 
     def accept(alpha, xt, f, g, dphi=None, ref=None):
@@ -169,7 +168,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
         fits a quadratic with ref = (alpha, f, dphi), spend one trial on the
         secant zero short of any non-finite step; keep the better point."""
         if (dphi is not None and ref is not None
-                and state["trials"] < max_trials
+                and trials < max_trials
                 and abs(dphi) > REFINE_RATIO * abs(dphi0)
                 and _fits_quadratic(alpha, f, dphi, *ref)):
             t = _secant(alpha, dphi, ref[0], ref[2])
@@ -178,11 +177,11 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
                     t, xt2, f2, g2, dphi2 = trial(*point(t))
                     if (armijo(t, f2) and abs(dphi2) <= -c2 * dphi0
                             and abs(dphi2) < abs(dphi)):
-                        return LineSearchResult(t, xt2, f2, g2, state["trials"])
-        return LineSearchResult(alpha, xt, f, g, state["trials"])
+                        return LineSearchResult(t, xt2, f2, g2, trials)
+        return LineSearchResult(alpha, xt, f, g, trials)
 
     def fail(reason, rounded=False):
-        raise LineSearchFailure(reason, state["best"], state["trials"], rounded)
+        raise LineSearchFailure(reason, trials, rounded)
 
     def armijo(alpha, f):
         return f <= f0 + ARMIJO_C1 * alpha * dphi0
@@ -196,7 +195,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     alpha = min(float(initial_step), alpha_max)
     if not alpha > 0.0:
         alpha = alpha_max if np.isfinite(alpha_max) else 1.0
-    while state["trials"] < max_trials:
+    while trials < max_trials:
         if a_hi is None:
             a_j, xt = point(alpha)
         else:
@@ -233,6 +232,6 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     # only a closed bracket falls back to its sufficient-decrease point
     if a_hi is not None and x_lo is not None:
         return accept(a_lo, x_lo, f_lo, g_lo)
-    if state["trials"] >= max_trials:
+    if trials >= max_trials:
         fail(f"no acceptable step within {max_trials} trials")
     fail("zoom interval collapsed without an acceptable step")

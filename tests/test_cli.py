@@ -149,6 +149,15 @@ def test_iteration_limit_exits_1(capsys):
     assert "convergence: 1" in out
 
 
+def test_evaluation_error_exits_1(capsys):
+    # sigma = 0 makes the normal negative log-likelihood infinite
+    code, out, err = run_cli(["optimize", "--problem", "normal_negll",
+                              "--method", "bfgs", "--par0", "1,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.endswith("\nerror: objective returned non-finite value inf at [1. 0.]\n")
+
+
 def test_gradcheck_all_problems(capsys):
     code, out, _ = run_cli(["gradcheck"], capsys)
     assert code == 0

@@ -49,6 +49,48 @@ def test_csv_round_trip_is_bitwise():
     assert IterationLog.from_csv(log.to_csv()) == log
 
 
+def one_row_log(par=(0.5,), fn=0.25, gr=(1.0,)):
+    log = IterationLog(len(par))
+    log.append(list(par), fn, list(gr))
+    return log
+
+
+@pytest.mark.parametrize("other", [
+    one_row_log(par=(0.5, 0.5), gr=(1.0, 1.0)),
+    IterationLog(1),
+    one_row_log(fn=-0.25),
+    one_row_log(par=(np.nextafter(0.5, 1.0),)),
+    one_row_log(gr=(np.nextafter(1.0, 2.0),)),
+], ids=["dimension", "length", "fn", "par-bits", "gr-bits"])
+def test_logs_differing_in_one_part_are_unequal(other):
+    assert one_row_log() != other
+    assert one_row_log().to_csv() != other.to_csv()
+
+
+def test_equality_follows_the_csv():
+    # float == would call 0.0 and -0.0 equal and nan unequal to itself
+    assert one_row_log(fn=0.0) != one_row_log(fn=-0.0)
+    text = one_row_log(fn=float("nan")).to_csv()
+    assert IterationLog.from_csv(text) == IterationLog.from_csv(text)
+
+
+def test_equality_with_a_non_log_is_not_implemented():
+    log = one_row_log()
+    assert log.__eq__(log.to_csv()) is NotImplemented
+    assert log != log.to_csv()
+
+
+def test_optimize_log_round_trips_row_by_row():
+    r = optimize(lambda x: float(np.dot(x, x) + np.sin(x[0])), [1.5, -0.5], loginfo=True)
+    back = IterationLog.from_csv(r.log.to_csv())
+    assert len(r.log) > 2 and len(back) == len(r.log)
+    for a, b in zip(r.log.rows, back.rows):
+        assert a.iter == b.iter
+        assert a.par.tobytes() == b.par.tobytes()
+        assert np.float64(a.fn).tobytes() == np.float64(b.fn).tobytes()
+        assert a.gr.tobytes() == b.gr.tobytes()
+
+
 def test_csv_layout():
     log = IterationLog(1)
     log.append([0.5], 0.25, [1.0])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from paropt import ConfigError, EvaluationError, OptimOptions, WorkerPool, optimize
+from paropt import (ConfigError, CoupledEvaluator, EvaluationError, OptimOptions, WorkerPool,
+                    build_stencil, optimize)
 from paropt.optimizers import LineSearchFailure, driver, wolfe_line_search
 
 
@@ -210,12 +211,92 @@ def test_fixed_coordinates_are_held_bitwise_on_1_and_3_workers(box, kind):
                                                       free.counts)
 
 
+@st.composite
+def counted_solves(draw):
+    """(method, kind, start, eps, lower, upper, size): a solve with an
+    optional box (L-BFGS-B only; None when absent), whose sides may be open
+    or coincide."""
+    dim = draw(st.integers(1, 4))
+    start = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
+    lower = upper = None
+    if draw(st.booleans()):
+        lower, upper = np.full(dim, -np.inf), np.full(dim, np.inf)
+        for i in range(dim):
+            lo, width = draw(st.floats(-2.0, 1.0)), draw(st.floats(0.0, 2.0))
+            side = draw(st.sampled_from(["lower", "upper", "both"]))
+            lower[i] = lo if side != "upper" else -np.inf
+            upper[i] = lo + width if side != "lower" else np.inf
+        method = "lbfgsb"
+    else:
+        method = draw(st.sampled_from(["lbfgsb", "bfgs", "cg"]))
+    return (method, draw(st.sampled_from(sorted(GRADIENT_KINDS))), start,
+            draw(st.floats(1e-6, 1e-2)), lower, upper, draw(st.integers(1, 4)))
+
+
+def quartic(x):
+    return float(np.dot(x - 0.5, x - 0.5) + 0.1 * np.sum(x ** 4))
+
+
+def quartic_grad(x):
+    return 2.0 * (x - 0.5) + 0.4 * x ** 3
+
+
+@settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=counted_solves())
+def test_counts_follow_the_count_laws(case, counted):
+    method, kind, start, eps, lower, upper, size = case
+    p = start.size
+    runs = []
+    for slots in sorted({1, 3, size}):
+        fn, gr = counted(quartic), counted(quartic_grad)
+        requests = []
+
+        def request(ev, par, original=CoupledEvaluator.value_and_gradient):
+            requests.append(np.array(par, dtype=np.float64))
+            return original(ev, par)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CoupledEvaluator, "value_and_gradient", request)
+            r = optimize(fn, start, gr if kind == "analytic" else None,
+                         scheme="forward" if kind == "forward" else "central", eps=eps,
+                         lower=lower, upper=upper, method=method, workers=slots)
+        c = r.counts
+        assert (c.fn_calls, c.gr_calls) == (len(fn.calls), len(gr.calls))
+        # the evaluator's cache holds one point, so a batch runs on each change
+        misses = [x for i, x in enumerate(requests)
+                  if i == 0 or x.tobytes() != requests[i - 1].tobytes()]
+        assert c.batches == len(misses)
+        if kind == "analytic":
+            assert c.fn_calls == c.gr_calls == c.batches
+        else:
+            assert c.gr_calls == 0
+            if lower is None:
+                assert c.fn_calls == (1 + (2 if kind == "central" else 1) * p) * c.batches
+            assert c.fn_calls == sum(len(build_stencil(x, eps, kind, lower, upper).points)
+                                     for x in misses)
+        runs.append(c)
+    assert all(c == runs[0] for c in runs)
+
+
 def test_misleading_gradient_fails_the_line_search():
     r = optimize(lambda x: float(x[0]) ** 2, [1.0],
                  lambda x: np.array([-1.0]), method="bfgs", maxit=5)
     assert r.code == 2
     assert "line search failed" in r.message
-    assert r.par[0] == 1.0  # no trial beat the start, so it is kept
+    assert r.par[0] == 1.0  # a failed search leaves the start in place
+
+
+@pytest.mark.parametrize("method", ["lbfgsb", "bfgs", "cg"])
+def test_failed_search_ends_at_the_last_accepted_iterate(method):
+    # every trial lowers the value, but too little for Armijo: the run ends
+    # where it started, and the log holds only the start
+    r = optimize(lambda x: -1e-5 * float(x[0]), [0.0], lambda x: np.array([-1.0]),
+                 method=method, loginfo=True)
+    assert (r.code, r.counts.batches) == (2, 21)
+    assert r.message == "line search failed: no acceptable step within 20 trials"
+    assert r.par.tolist() == [0.0]
+    assert r.value == 0.0
+    assert [row.par.tolist() for row in r.log.rows] == [[0.0]]
 
 
 def test_nonfinite_start_raises():

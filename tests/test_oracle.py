@@ -10,7 +10,7 @@ stop.
 import numpy as np
 import pytest
 
-from paropt import optimize
+from paropt import CoupledEvaluator, optimize
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
@@ -44,3 +44,21 @@ def test_matches_scipy_lbfgsb(p, box, chained_rosenbrock, rosenbrock_starts):
         assert ours.value <= ref.fun + tol, (x0, ours.value, ref.fun)
         if abs(ours.value - ref.fun) <= tol:
             assert np.abs(ours.par - ref.x).max() <= PAR_ATOL, (x0, ours.par, ref.x)
+
+
+@pytest.mark.parametrize("gradient", ["analytic", "central"])
+def test_scipy_driven_evaluator_spends_one_batch_per_point(gradient, chained_rosenbrock):
+    # the paper's mechanism under another driver: SciPy asks for the value
+    # and then the gradient at each point, and the coupled evaluator answers
+    # both from one batch
+    fn, gr = chained_rosenbrock
+    with CoupledEvaluator(fn, 2, gradient=gr if gradient == "analytic" else None,
+                          eps=1e-5) as ev:
+        res = scipy_optimize.minimize(ev.value, [-1.2, 1.0], jac=ev.gradient,
+                                      method="L-BFGS-B", options={"maxcor": 5})
+    counts = ev.counts()
+    assert res.success
+    # 47 points with SciPy 1.17.1, for both gradient kinds
+    assert counts.batches == res.nfev == res.njev
+    calls = (1, 1) if gradient == "analytic" else (5, 0)  # fn, gr per point
+    assert (counts.fn_calls, counts.gr_calls) == tuple(c * res.nfev for c in calls)

@@ -95,12 +95,21 @@ def outcome(d) -> str:
     return d.get("raised") or f"code {d['code']} value {d['value']} {d['message']!r}"
 
 
+def at_least_one(text) -> int:
+    """argparse type: an integer >= 1, so a bad count exits 2 before OUT opens."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("command", choices=("run", "compare"))
     parser.add_argument("files", nargs="+", help="run: OUT; compare: BEFORE AFTER")
-    parser.add_argument("--workers", type=int, default=1, help="run: pool slots (default 1)")
-    parser.add_argument("--callers", type=int, default=1,
+    parser.add_argument("--workers", type=at_least_one, default=1,
+                        help="run: pool slots (default 1)")
+    parser.add_argument("--callers", type=at_least_one, default=1,
                         help="run: threads solving at once on the pool (default 1)")
     args = parser.parse_args(argv)
     if args.command == "run":
