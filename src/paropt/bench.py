@@ -15,19 +15,23 @@ import time
 from dataclasses import dataclass
 
 from .engine import WorkerPool
-from .errors import ConfigError, check_count, check_nonnegative
+from .errors import ConfigError, check_choice, check_count, check_nonnegative
 from .optimizers import LBFGSB, OptimOptions, optimize
 from .problems import sleep_problem
 from .stencil import CENTRAL, FORWARD
 from .iterlog import format_float
 
-SERIAL_ANALYTIC = "serial_analytic"
-SERIAL_APPROX = "serial_approx"
-PARALLEL_ANALYTIC = "parallel_analytic"
-PARALLEL_APPROX = "parallel_approx"
-PARALLEL_FORWARD = "parallel_forward"
-MODES = (SERIAL_ANALYTIC, SERIAL_APPROX, PARALLEL_ANALYTIC,
-         PARALLEL_APPROX, PARALLEL_FORWARD)
+# mode -> (pool size for dimension p and the configured workers w,
+#          analytic gradient, difference scheme)
+MODE_SETUP = {
+    "serial_analytic": (lambda p, w: 1, True, CENTRAL),
+    "serial_approx": (lambda p, w: 1, False, CENTRAL),
+    "parallel_analytic": (lambda p, w: w, True, CENTRAL),
+    "parallel_approx": (lambda p, w: w, False, CENTRAL),
+    # forward stencils have 1+p points, so 1+p workers cover a full wave
+    "parallel_forward": (lambda p, w: min(w, 1 + p), False, FORWARD),
+}
+MODES = tuple(MODE_SETUP)
 
 BENCH_CSV_HEADER = "mode,p,sleep,rep,elapsed_per_iter,batches,fn_calls"
 
@@ -42,18 +46,16 @@ class BenchConfig:
     workers: int = 7
 
     def validated(self) -> "BenchConfig":
-        if not self.dims or not self.sleeps:
-            raise ConfigError("dims and sleeps must be non-empty lists")
+        if not self.dims or not self.sleeps or not self.modes:
+            raise ConfigError("dims, sleeps and modes must be non-empty lists")
         for p in self.dims:
             check_count("dims entry", p)
         for name in ("repetitions", "iterations", "workers"):
             check_count(name, getattr(self, name))
         for s in self.sleeps:
             check_nonnegative("sleeps entry", s)
-        unknown = [m for m in self.modes if m not in MODES]
-        if unknown or not self.modes:
-            raise ConfigError(f"modes must be a non-empty subset of {MODES}, "
-                              f"got unknown {unknown}")
+        for mode in self.modes:
+            check_choice("modes entry", mode, MODES)
         return self
 
 
@@ -66,20 +68,6 @@ class BenchRow:
     elapsed_per_iter_s: float
     batches: int
     fn_calls: int
-
-
-def _mode_setup(mode, p, config):
-    """(pool size, use analytic gradient, difference scheme) for one mode."""
-    if mode == SERIAL_ANALYTIC:
-        return 1, True, CENTRAL
-    if mode == SERIAL_APPROX:
-        return 1, False, CENTRAL
-    if mode == PARALLEL_ANALYTIC:
-        return config.workers, True, CENTRAL
-    if mode == PARALLEL_APPROX:
-        return config.workers, False, CENTRAL
-    # forward stencils have 1+p points, so 1+p workers cover a full wave
-    return min(config.workers, 1 + p), False, FORWARD
 
 
 def _run_once(problem, opts, pool, use_gradient):
@@ -103,7 +91,8 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRow]:
     rows = []
     for mode in config.modes:
         for p in config.dims:
-            size, use_gradient, scheme = _mode_setup(mode, p, config)
+            pool_size, use_gradient, scheme = MODE_SETUP[mode]
+            size = pool_size(p, config.workers)
             for sleep_s in config.sleeps:
                 problem = sleep_problem(p, sleep_s)
                 opts = OptimOptions(method=LBFGSB, maxit=config.iterations,

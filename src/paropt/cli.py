@@ -68,22 +68,18 @@ def result_fields(result: OptimResult) -> dict:
     }
 
 
-def result_report(result: OptimResult, elapsed_s=None) -> str:
+def result_report(result: OptimResult, elapsed_s: float) -> str:
     """Human-readable result block mirroring the fields of the JSON form."""
     fields = result_fields(result)
     fields["par"] = " ".join(format_float(v) for v in fields["par"])
     fields["value"] = format_float(fields["value"])
     lines = [f"{name}: {value}" for name, value in fields.items()]
-    if elapsed_s is not None:
-        lines.append(f"elapsed: {elapsed_s:.6g} s")
+    lines.append(f"elapsed: {elapsed_s:.6g} s")
     return "\n".join(lines)
 
 
-def result_json(result: OptimResult, elapsed_s=None) -> str:
-    doc = result_fields(result)
-    if elapsed_s is not None:
-        doc["elapsed_s"] = elapsed_s
-    return json.dumps(doc)
+def result_json(result: OptimResult, elapsed_s: float) -> str:
+    return json.dumps({**result_fields(result), "elapsed_s": elapsed_s})
 
 
 def _default_problem(name: str):
@@ -126,7 +122,7 @@ def cmd_optimize(args) -> int:
         method=args.method, lower=lower, upper=upper, maxit=args.maxit,
         eps=args.eps, scheme=args.scheme or CENTRAL,
         workers=default_workers(OptimOptions.workers) if args.workers is None else args.workers,
-        loginfo=args.loginfo or args.log_out is not None)
+        loginfo=args.log_out is not None)
 
     start = time.perf_counter()
     result = optimize(problem.objective, par0, gradient, options=options)
@@ -203,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="force finite differences with this stencil")
     opt.add_argument("--maxit", type=int, default=OptimOptions.maxit)
     opt.add_argument("--workers", type=int, help="pool size (default $PAROPT_WORKERS or 1)")
-    opt.add_argument("--loginfo", action="store_true", help="record the iteration path")
     opt.add_argument("--log-out", help="write the iteration log CSV here")
     opt.add_argument("--json", action="store_true", help="machine-readable output")
     opt.set_defaults(func=cmd_optimize)

@@ -27,7 +27,7 @@ import weakref
 
 import numpy as np
 
-from .errors import EvaluationError, check_count
+from .errors import EvaluationError, NonFiniteError, check_count
 
 
 def _run(tasks, outcomes, lo, hi):
@@ -133,7 +133,7 @@ class WorkerPool:
 def _finite_value(value, x) -> float:
     fv = float(value)
     if not np.isfinite(fv):
-        raise EvaluationError(f"objective returned non-finite value {fv} at {x}", point=x)
+        raise NonFiniteError(f"objective returned non-finite value {fv} at {x}", point=x)
     return fv
 
 
@@ -141,7 +141,7 @@ def evaluate_batch(pool: WorkerPool, objective, points) -> list[float]:
     """Evaluate the objective at every point, in parallel, results in
     submission order.
 
-    Raises EvaluationError naming the first point (in submission order)
+    Raises NonFiniteError naming the first point (in submission order)
     whose value is non-finite; exceptions raised by the objective itself
     propagate after the batch drains.
     """

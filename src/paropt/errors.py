@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the scalar input rules
-every public entry point checks its counts and durations with."""
+"""Exception types shared across the package, and the input rules every
+public entry point checks its counts, durations and named choices with."""
 
 import math
 import numbers
@@ -14,16 +14,21 @@ class DimensionError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """The objective (or gradient) produced a non-finite result.
+    """The objective or gradient produced an unusable result: a non-finite
+    one (NonFiniteError) or a gradient of the wrong shape.
 
-    Carries the offending parameter vector so callers can report or retry.
-    The optimizer treats this as retryable inside a line search and as a
-    hard failure at the initial point.
+    Carries the offending parameter vector so callers can report it.  The
+    optimizer raises it, except for a non-finite result at a line-search
+    trial, which closes the search's bracket instead.
     """
 
     def __init__(self, message, point=None):
         super().__init__(message)
         self.point = point
+
+
+class NonFiniteError(EvaluationError):
+    """A non-finite objective value or gradient entry."""
 
 
 class DatasetError(ValueError):
@@ -42,3 +47,10 @@ def check_nonnegative(name, value) -> float:
     if not isinstance(value, numbers.Real) or not 0.0 <= value < math.inf:
         raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
     return float(value)
+
+
+def check_choice(name, value, allowed):
+    """`value` when it is a string among `allowed`, else ConfigError."""
+    if not isinstance(value, str) or value not in allowed:
+        raise ConfigError(f"unknown {name} {value!r}, expected one of {tuple(allowed)}")
+    return value

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import stencil as st
 from .engine import WorkerPool, evaluate_batch, parallel_value_and_gradient
-from .errors import ConfigError, EvaluationError, check_count
+from .errors import NonFiniteError, check_choice, check_count
 
 ANALYTIC = "analytic"
 
@@ -62,9 +62,8 @@ class CoupledEvaluator:
         self.dim = check_count("dimension", dim)
         self._objective = objective
         self._gradient = gradient
-        self.mode = ANALYTIC if gradient is not None else scheme
-        if gradient is None and scheme not in st.SCHEMES:
-            raise ConfigError(f"unknown difference scheme {scheme!r}")
+        self.mode = ANALYTIC if gradient is not None else check_choice(
+            "difference scheme", scheme, st.SCHEMES)
         self.eps = st.validate_eps(eps, self.dim)
         self.lower, self.upper = st.validate_bounds(lower, upper, self.dim)
         self._owns_pool = pool is None
@@ -118,7 +117,7 @@ class CoupledEvaluator:
             value, grad = st.assemble_gradient(values, sten)
         # an analytic gradient, or a quotient of finite values that overflowed
         if not np.all(np.isfinite(grad)):
-            raise EvaluationError(f"gradient has non-finite entries {grad} at {x}", point=x)
+            raise NonFiniteError(f"gradient has non-finite entries {grad} at {x}", point=x)
         return value, grad
 
     def close(self):

@@ -37,7 +37,6 @@ class GradCheckRow:
 @dataclass(frozen=True)
 class GradCheckReport:
     rows: tuple
-    eps: float
 
     @property
     def passed(self) -> bool:
@@ -70,17 +69,18 @@ def sample_feasible_points(center, count, seed, lower=None, upper=None,
 
 
 def check_gradient(objective, gradient, center, *, lower=None, upper=None,
-                   points=10, seed=0, eps=1e-3, spread=1.0) -> GradCheckReport:
-    """Compare an analytic gradient with central differences at random
-    feasible points near center; each point passes when the coordinatewise
-    error stays within agreement_tolerance of the analytic gradient."""
+                   points=10, seed=0, spread=1.0) -> GradCheckReport:
+    """Compare an analytic gradient with central differences of step 1e-3
+    at random feasible points near center; each point passes when the
+    coordinatewise error stays within agreement_tolerance of the analytic
+    gradient."""
     if gradient is None:
         raise ConfigError("gradient check needs an analytic gradient")
     center = as_parameter_vector(center)
     points = check_count("points", points)
     spread = check_nonnegative("spread", spread)
     sampled = sample_feasible_points(center, points, seed, lower, upper, spread)
-    ev = CoupledEvaluator(objective, center.size, scheme=CENTRAL, eps=eps,
+    ev = CoupledEvaluator(objective, center.size, scheme=CENTRAL,
                           lower=lower, upper=upper)
     try:
         rows = []
@@ -91,4 +91,4 @@ def check_gradient(objective, gradient, center, *, lower=None, upper=None,
             rows.append(GradCheckRow(x, exact, approx, err, agreement_tolerance(exact)))
     finally:
         ev.close()
-    return GradCheckReport(tuple(rows), eps)
+    return GradCheckReport(tuple(rows))

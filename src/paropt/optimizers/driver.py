@@ -147,7 +147,12 @@ def _minimize(ev, par, opts, log):
                 # retry from the same point along projected steepest descent
                 drop_memory = True
                 continue
-            if exc.rounded and ev.mode != ANALYTIC:
+            if dphi0 == 0.0:
+                # d.g underflows along steepest descent, so no representable
+                # step can decrease the objective
+                code = Convergence.CONVERGED
+                message = "the steepest-descent slope underflows to zero"
+            elif exc.rounded and ev.mode != ANALYTIC:
                 # the difference gradient's error swamps the slope: no
                 # representable step decreases the objective along it
                 code = Convergence.CONVERGED

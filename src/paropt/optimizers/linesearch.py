@@ -6,8 +6,8 @@ cost one batch of the coupled evaluator.  One loop runs every trial over a
 bracket [lo, hi], as optim's L-BFGS-B does (More and Thuente, 1994).
 While hi is open, steps grow by secant extrapolation up to the cap, where
 a step that still descends is accepted.  A trial without sufficient
-decrease, not below lo, or with a non-finite value closes the bracket;
-later trials interpolate inside it.
+decrease, not below lo, or with a non-finite value or gradient closes the
+bracket; later trials interpolate inside it.
 
 An accepted step costs one extra trial only on a ray where the objective
 fits a quadratic: there the secant zero of the directional derivative is
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EvaluationError
+from ..errors import NonFiniteError
 
 
 @dataclass
@@ -37,6 +37,8 @@ class LineSearchResult:
 
 # sufficient-decrease constant of the Armijo condition
 ARMIJO_C1 = 1e-4
+# evaluations one search may spend before it fails
+MAX_TRIALS = 20
 
 # An accepted step is refined once, by a trial at the secant zero of the
 # directional derivative, when both hold: its slope is still above this
@@ -127,16 +129,17 @@ def _interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi, dphi_hi):
 
 
 def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
-                      c2=0.9, initial_step=1.0,
-                      max_trials=20) -> LineSearchResult:
+                      c2=0.9, initial_step=1.0) -> LineSearchResult:
     """Find a step satisfying the strong Wolfe conditions along d.
 
     Trial points are x0 + alpha*d truncated to the box; the point at the
     feasible cap has its binding coordinates set exactly to their bounds.
-    Raises LineSearchFailure after max_trials evaluations without an
+    Raises LineSearchFailure after MAX_TRIALS evaluations without an
     acceptable step or, with `rounded` set, when a trial inside the bracket
     would round onto x0; and ValueError when d is not a descent direction.
-    A trial with a non-finite objective value closes the bracket there.
+    A trial with a non-finite value or gradient closes the bracket there;
+    any other EvaluationError, such as a gradient of the wrong shape, is
+    raised.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -168,12 +171,12 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
         fits a quadratic with ref = (alpha, f, dphi), spend one trial on the
         secant zero short of any non-finite step; keep the better point."""
         if (dphi is not None and ref is not None
-                and trials < max_trials
+                and trials < MAX_TRIALS
                 and abs(dphi) > REFINE_RATIO * abs(dphi0)
                 and _fits_quadratic(alpha, f, dphi, *ref)):
             t = _secant(alpha, dphi, ref[0], ref[2])
             if math.isfinite(t) and 0.0 < t < a_nonfinite and t != alpha:
-                with suppress(EvaluationError):  # keep the point in hand
+                with suppress(NonFiniteError):  # keep the point in hand
                     t, xt2, f2, g2, dphi2 = trial(*point(t))
                     if (armijo(t, f2) and abs(dphi2) <= -c2 * dphi0
                             and abs(dphi2) < abs(dphi)):
@@ -195,7 +198,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     alpha = min(float(initial_step), alpha_max)
     if not alpha > 0.0:
         alpha = alpha_max if np.isfinite(alpha_max) else 1.0
-    while trials < max_trials:
+    while trials < MAX_TRIALS:
         if a_hi is None:
             a_j, xt = point(alpha)
         else:
@@ -209,7 +212,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
                 break
         try:
             a_j, xt, f, g, dphi = trial(a_j, xt)
-        except EvaluationError:
+        except NonFiniteError:
             a_hi = a_nonfinite = a_j
             f_hi = dphi_hi = None
             continue
@@ -232,6 +235,6 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     # only a closed bracket falls back to its sufficient-decrease point
     if a_hi is not None and x_lo is not None:
         return accept(a_lo, x_lo, f_lo, g_lo)
-    if trials >= max_trials:
-        fail(f"no acceptable step within {max_trials} trials")
+    if trials >= MAX_TRIALS:
+        fail(f"no acceptable step within {MAX_TRIALS} trials")
     fail("zoom interval collapsed without an acceptable step")

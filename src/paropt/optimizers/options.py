@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, check_count, check_nonnegative
+from ..errors import ConfigError, check_choice, check_count, check_nonnegative
 from ..evaluator import EvalCounts
 from ..iterlog import IterationLog
 from ..stencil import SCHEMES
@@ -56,10 +56,8 @@ class OptimOptions:
     loginfo: bool = False
 
     def validated(self) -> "OptimOptions":
-        for name, allowed in (("method", METHODS), ("scheme", SCHEMES)):
-            v = getattr(self, name)
-            if v not in allowed:
-                raise ConfigError(f"unknown {name} {v!r}, expected one of {allowed}")
+        check_choice("method", self.method, METHODS)
+        check_choice("scheme", self.scheme, SCHEMES)
         for name in ("maxit", "memory_m", "workers"):
             check_count(name, getattr(self, name))
         for name in ("factr", "pgtol", "reltol"):

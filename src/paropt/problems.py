@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, check_count, check_nonnegative
+from .errors import ConfigError, DatasetError, check_choice, check_count, check_nonnegative
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -39,18 +39,26 @@ class ProblemSpec:
                 f"got {np.asarray(par).size} parameters")
 
 
-def quadratic_problem() -> ProblemSpec:
-    """Sum of squares in any dimension, minimum at the origin."""
+def _sum_of_squares(name, p, par0, summary, sleep_s=0.0) -> ProblemSpec:
+    """x.x with gradient 2x, each call stalling sleep_s seconds first."""
 
     def objective(par):
+        if sleep_s > 0:
+            time.sleep(sleep_s)
         return float(np.dot(par, par))
 
     def gradient(par):
+        if sleep_s > 0:
+            time.sleep(sleep_s)
         return 2.0 * np.asarray(par, dtype=np.float64)
 
-    return ProblemSpec("quadratic", objective, gradient,
-                       par0=np.array([1.0, 1.0]),
-                       summary="sum of squares, any dimension, minimum 0 at the origin")
+    return ProblemSpec(name, objective, gradient, p=p, par0=par0, summary=summary)
+
+
+def quadratic_problem() -> ProblemSpec:
+    """Sum of squares in any dimension, minimum at the origin."""
+    return _sum_of_squares("quadratic", None, np.array([1.0, 1.0]),
+                           "sum of squares, any dimension, minimum 0 at the origin")
 
 
 def rosenbrock_problem() -> ProblemSpec:
@@ -118,20 +126,8 @@ def sleep_problem(p: int, sleep_s: float) -> ProblemSpec:
     """
     p = check_count("p", p)
     sleep_s = check_nonnegative("sleep_s", sleep_s)
-
-    def objective(par):
-        if sleep_s > 0:
-            time.sleep(sleep_s)
-        return float(np.dot(par, par))
-
-    def gradient(par):
-        if sleep_s > 0:
-            time.sleep(sleep_s)
-        return 2.0 * np.asarray(par, dtype=np.float64)
-
-    return ProblemSpec("sleep", objective, gradient, p=p,
-                       par0=np.full(p, 0.1),
-                       summary=f"sum of squares with a {sleep_s}s stall per call")
+    return _sum_of_squares("sleep", p, np.full(p, 0.1),
+                           f"sum of squares with a {sleep_s}s stall per call", sleep_s)
 
 
 _REGISTRY = {
@@ -155,11 +151,7 @@ def get_problem(name: str, data=None) -> ProblemSpec:
     Raises ConfigError for unknown names and DatasetError when a
     data-dependent problem is requested without data.
     """
-    try:
-        builder = _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown problem {name!r}; available: {', '.join(_REGISTRY)}") from None
+    builder = _REGISTRY[check_choice("problem", name, problem_names())]
     if name in DATA_PROBLEMS and data is None:
         raise DatasetError(f"problem {name!r} requires a dataset")
     return builder(data)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_choice
 
 CENTRAL = "central"
 FORWARD = "forward"
@@ -112,8 +112,7 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
     """
     x = as_parameter_vector(center)
     p = x.size
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown difference scheme {scheme!r}, expected one of {SCHEMES}")
+    check_choice("difference scheme", scheme, SCHEMES)
     h = validate_eps(eps, p)
     lo, hi = validate_bounds(lower, upper, p)
     if np.any(x < lo) or np.any(x > hi):

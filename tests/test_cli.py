@@ -104,9 +104,10 @@ def test_log_out_round_trips(tmp_path, capsys):
     ["nosuchcommand"],
     ["optimize", "--problem", "quadratic", "--frobnicate"],
     ["bench", "--modes", "warpspeed", "--dims", "1", "--sleeps", "0"],
+    ["optimize", "--problem", "quadratic", "--loginfo"],
 ], ids=["unknown-problem", "missing-problem", "bad-par0", "data-on-closed-form",
         "missing-data-file", "zero-maxit", "unknown-command", "unknown-flag",
-        "bad-bench-mode"])
+        "bad-bench-mode", "removed-loginfo"])
 def test_usage_errors_exit_2(argv, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 2

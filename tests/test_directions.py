@@ -95,6 +95,14 @@ def test_cg_resets_when_not_descending():
     assert cg_direction(g, g, np.array([100.0, 0.0])).tolist() == [-1.0, 0.0]
 
 
+def test_cg_zero_previous_gradient_is_steepest_descent():
+    # Fletcher-Reeves beta = g.g / prev_g.prev_g has no value after a zero
+    # gradient, so the direction falls back to -g, not to a NaN vector
+    g = np.array([0.5, -1.5])
+    d = cg_direction(g, np.zeros(2), np.array([-3.0, 2.0]))
+    assert d.tolist() == [-0.5, 1.5]
+
+
 def test_cg_two_exact_steps_solve_2d_quadratic():
     # conjugacy with exact line minima: x^2 + 10 y^2 is solved in p=2 steps
     A = np.diag([2.0, 20.0])

@@ -1,5 +1,6 @@
-"""Every public entry point that takes a count or a duration rules out the
-same bad values, with ConfigError, before any work starts."""
+"""Every public entry point that takes a count, a duration or a named
+choice rules out the same bad values, with ConfigError, before any work
+starts."""
 
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from paropt import (BenchConfig, ConfigError, CoupledEvaluator, IterationLog,
-                    check_gradient, gen_normal_dataset, optimize, sleep_problem)
+                    build_stencil, check_gradient, gen_normal_dataset, get_problem,
+                    optimize, sleep_problem)
 from paropt.cli import main
 
 
@@ -42,6 +44,22 @@ EDGES = {
 @pytest.mark.parametrize("call", EDGES.values(), ids=EDGES.keys())
 def test_edge_rejects_bad_scalar(call):
     with pytest.raises(ConfigError):
+        call()
+
+
+CHOICES = {
+    "method": lambda: optimize(sum_sq, [1.0], method="newton"),
+    "scheme": lambda: optimize(sum_sq, [1.0], scheme="backward"),
+    "evaluator scheme": lambda: CoupledEvaluator(sum_sq, 1, scheme="backward"),
+    "stencil scheme": lambda: build_stencil([1.0], 1e-3, scheme="backward"),
+    "bench mode": lambda: BenchConfig(modes=("serial_analytic", "warp")).validated(),
+    "problem": lambda: get_problem("banana"),
+}
+
+
+@pytest.mark.parametrize("call", CHOICES.values(), ids=CHOICES.keys())
+def test_edge_rejects_unknown_choice(call):
+    with pytest.raises(ConfigError, match="unknown .*, expected one of"):
         call()
 
 

@@ -1,4 +1,4 @@
-"""The two scalar input rules: a count and a finite non-negative real."""
+"""The input rules: a count, a finite non-negative real and a named choice."""
 
 import math
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paropt.errors import ConfigError, check_count, check_nonnegative
+from paropt.errors import ConfigError, check_choice, check_count, check_nonnegative
 
 
 @pytest.mark.parametrize("value", [1, 7, np.int64(3), True])
@@ -32,3 +32,14 @@ def test_nonnegative_accepts_finite_reals_as_float(value):
 def test_nonnegative_rejects_everything_else(value):
     with pytest.raises(ConfigError, match="s must be finite and >= 0"):
         check_nonnegative("s", value)
+
+
+def test_choice_returns_an_allowed_value():
+    assert check_choice("method", "bfgs", ("lbfgsb", "bfgs")) == "bfgs"
+
+
+@pytest.mark.parametrize("value", ["BFGS", "", None, 1, ("bfgs",), np.array(["bfgs", "cg"])])
+def test_choice_rejects_everything_else_naming_the_choices(value):
+    with pytest.raises(ConfigError,
+                       match=r"unknown method .*, expected one of \('lbfgsb', 'bfgs'\)"):
+        check_choice("method", value, ["lbfgsb", "bfgs"])

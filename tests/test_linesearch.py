@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from paropt import CoupledEvaluator
 from paropt.optimizers import LineSearchFailure, wolfe_line_search
-from paropt.optimizers.linesearch import _interpolate, max_feasible_step
+from paropt.optimizers.linesearch import MAX_TRIALS, _interpolate, max_feasible_step
 
 
 def sum_sq(x):
@@ -107,11 +107,14 @@ def test_failure_carries_the_trial_count():
 
 
 def test_trial_budget_is_enforced():
-    ev = CoupledEvaluator(lambda x: float(x[0]) ** 2, 1,
+    # every trial lowers the value, but too little for Armijo, so the
+    # bracket shrinks without collapsing until the budget runs out
+    ev = CoupledEvaluator(lambda x: -1e-5 * float(x[0]), 1,
                           gradient=lambda x: np.array([-1.0]))
-    x0, f0, g0 = start(ev, [1.0])
-    with pytest.raises(LineSearchFailure, match="3 trials"):
-        wolfe_line_search(ev, x0, f0, g0, np.array([1.0]), max_trials=3)
+    x0, f0, g0 = start(ev, [0.0])
+    with pytest.raises(LineSearchFailure, match=f"{MAX_TRIALS} trials") as err:
+        wolfe_line_search(ev, x0, f0, g0, np.array([1.0]))
+    assert err.value.trials == MAX_TRIALS == 20
 
 
 def test_max_feasible_step_unbounded():

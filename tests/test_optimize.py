@@ -1,14 +1,16 @@
 """End-to-end optimization behavior for the three methods."""
 
 import concurrent.futures
+import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from paropt import (ConfigError, CoupledEvaluator, EvaluationError, OptimOptions, WorkerPool,
-                    build_stencil, optimize)
+from paropt import (ConfigError, CoupledEvaluator, EvaluationError, IterationLog,
+                    OptimOptions, WorkerPool, build_stencil, optimize)
+from paropt.errors import NonFiniteError
 from paropt.optimizers import LineSearchFailure, driver, wolfe_line_search
 
 
@@ -212,10 +214,10 @@ def test_fixed_coordinates_are_held_bitwise_on_1_and_3_workers(box, kind):
 
 
 @st.composite
-def counted_solves(draw):
-    """(method, kind, start, eps, lower, upper, size): a solve with an
-    optional box (L-BFGS-B only; None when absent), whose sides may be open
-    or coincide."""
+def drawn_solves(draw, kinds=GRADIENT_KINDS):
+    """(method, kind, start, eps, lower, upper, size): a solve with one of
+    `kinds` of gradient and an optional box (L-BFGS-B only; None when
+    absent), whose sides may be open or coincide, on a pool of `size` slots."""
     dim = draw(st.integers(1, 4))
     start = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
     lower = upper = None
@@ -229,7 +231,7 @@ def counted_solves(draw):
         method = "lbfgsb"
     else:
         method = draw(st.sampled_from(["lbfgsb", "bfgs", "cg"]))
-    return (method, draw(st.sampled_from(sorted(GRADIENT_KINDS))), start,
+    return (method, draw(st.sampled_from(sorted(kinds))), start,
             draw(st.floats(1e-6, 1e-2)), lower, upper, draw(st.integers(1, 4)))
 
 
@@ -242,7 +244,7 @@ def quartic_grad(x):
 
 
 @settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=counted_solves())
+@given(case=drawn_solves())
 def test_counts_follow_the_count_laws(case, counted):
     method, kind, start, eps, lower, upper, size = case
     p = start.size
@@ -302,6 +304,111 @@ def test_failed_search_ends_at_the_last_accepted_iterate(method):
 def test_nonfinite_start_raises():
     with pytest.raises(EvaluationError):
         optimize(lambda x: float("nan"), [1.0])
+
+
+@pytest.mark.parametrize("method", ["lbfgsb", "bfgs", "cg"])
+def test_underflowing_steepest_slope_is_converged(method):
+    # the gradient is not zero, but d.g = -g.g underflows to 0.0, so no
+    # representable step can lower the value, which is already 0.0
+    s = np.array([0.0, 5.9e-307])
+    r = optimize(lambda x: float(np.dot(x - s, x - s)), [0.0, 0.0],
+                 lambda x: 2.0 * (x - s), method=method)
+    assert (r.code, r.counts.batches) == (0, 1)
+    assert r.message == "the steepest-descent slope underflows to zero"
+    assert (r.par.tolist(), r.value) == ([0.0, 0.0], 0.0)
+
+
+def test_wrong_gradient_shape_at_a_trial_raises():
+    # the start's gradient has the right shape, the first trial's does not;
+    # a search must not take that for a non-finite value and go on
+    calls = []
+
+    def gradient(x):
+        calls.append(x)
+        return np.zeros(3) if len(calls) == 2 else 2.0 * x
+
+    with pytest.raises(EvaluationError, match=r"shape \(3,\), expected \(2,\)"):
+        optimize(sum_sq, [1.0, 2.0], gradient)
+    assert len(calls) == 2
+
+
+def solve_quartic(case, objective=quartic, gradient=quartic_grad, **options):
+    method, kind, start, eps, lower, upper, size = case
+    return optimize(objective, start, gradient if kind == "analytic" else None,
+                    scheme="forward" if kind == "forward" else "central", eps=eps,
+                    lower=lower, upper=upper, method=method, workers=size, **options)
+
+
+@settings(max_examples=10)
+@given(case=drawn_solves())
+def test_log_csv_round_trips_bitwise(case):
+    r = solve_quartic(case, loginfo=True)
+    text = r.log.to_csv()
+    back = IterationLog.from_csv(text)
+    assert back == r.log and back.to_csv() == text
+    assert len(back) == len(r.log)
+    for row, parsed in zip(r.log.rows, back.rows):
+        assert row.iter == parsed.iter
+        assert row.par.tobytes() == parsed.par.tobytes()
+        assert np.float64(row.fn).tobytes() == np.float64(parsed.fn).tobytes()
+        assert row.gr.tobytes() == parsed.gr.tobytes()
+    assert r.log.rows[-1].par.tobytes() == r.par.tobytes()
+
+
+def batch_centers(case):
+    """The point of every batch of the fault-free solve, in order."""
+    centers = []
+
+    def request(ev, par, original=CoupledEvaluator.value_and_gradient):
+        x = np.array(par, dtype=np.float64)
+        if not centers or x.tobytes() != centers[-1].tobytes():
+            centers.append(x)
+        return original(ev, par)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoupledEvaluator, "value_and_gradient", request)
+        solve_quartic(case)
+    return centers
+
+
+@pytest.mark.parametrize("where", ["start", "trial"])
+@pytest.mark.parametrize("fault", ["value", "gradient", "shape"])
+@settings(max_examples=5)
+@given(data=st.data())
+def test_each_evaluation_fault_has_one_outcome(fault, where, data):
+    # the objective returns NaN, or the gradient NaNs or one entry too many,
+    # at the point of the start's batch or of a later one (a trial); a
+    # difference gradient sees values only.  At the start every fault
+    # raises; at a trial a non-finite value or gradient closes the search's
+    # bracket and the run goes on, while a wrong shape still raises.
+    case = data.draw(drawn_solves(["analytic"] if fault != "value" else GRADIENT_KINDS))
+    centers = batch_centers(case)
+    if where == "trial":
+        assume(len(centers) > 1)
+        bad = centers[min(data.draw(st.integers(1, 6)), len(centers) - 1)].tobytes()
+        assume(bad != centers[0].tobytes())
+    else:
+        bad = centers[0].tobytes()
+
+    def objective(x):
+        return math.nan if fault == "value" and x.tobytes() == bad else quartic(x)
+
+    def gradient(x):
+        if fault == "value" or x.tobytes() != bad:
+            return quartic_grad(x)
+        return np.full(x.size + (fault == "shape"), math.nan)
+
+    if fault == "shape":
+        with pytest.raises(EvaluationError, match="shape") as err:
+            solve_quartic(case, objective, gradient)
+        assert not isinstance(err.value, NonFiniteError)
+    elif where == "start":
+        with pytest.raises(NonFiniteError):
+            solve_quartic(case, objective, gradient)
+    else:
+        r = solve_quartic(case, objective, gradient, loginfo=True)
+        assert math.isfinite(r.value)
+        assert all(row.par.tobytes() != bad for row in r.log.rows)
 
 
 def test_bounds_only_for_the_constrained_method():

@@ -37,14 +37,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import WORKLOADS, rosenbrock, rosenbrock_gradient  # noqa: E402
 
-METHODS = ("lbfgsb", "bfgs", "cg")
 GRADIENTS = {"analytic": {}, "eps1e-5": {"eps": 1e-5}, "eps-default": {},
              "forward1e-5": {"scheme": "forward", "eps": 1e-5}}
 
 
 def corpus():
     """(group, key, objective, gradient, start, options) for every solve."""
-    from paropt import gen_normal_dataset
+    from paropt import METHODS, gen_normal_dataset
     from paropt.problems import normal_negll_problem
     for name, seed in itertools.product(("fd-sleep", "analytic-sleep"), range(1, 11)):
         w = WORKLOADS[name]
