@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .engine import WorkerPool
 from .errors import ConfigError, check_choice, check_count, check_nonnegative
-from .optimizers import LBFGSB, OptimOptions, optimize
+from .optimizers import LBFGSB, optimize
 from .problems import sleep_problem
 from .stencil import CENTRAL, FORWARD
 from .iterlog import format_float
@@ -70,11 +70,11 @@ class BenchRow:
     fn_calls: int
 
 
-def _run_once(problem, opts, pool, use_gradient):
+def _run_once(problem, pool, use_gradient, scheme, maxit):
     gradient = problem.gradient if use_gradient else None
     start = time.perf_counter()
-    result = optimize(problem.objective, problem.par0, gradient,
-                      options=opts, pool=pool)
+    result = optimize(problem.objective, problem.par0, gradient, pool=pool,
+                      method=LBFGSB, maxit=maxit, scheme=scheme)
     elapsed = time.perf_counter() - start
     batches = result.counts.batches
     return elapsed / batches, batches, result.counts.fn_calls
@@ -95,15 +95,13 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRow]:
             size = pool_size(p, config.workers)
             for sleep_s in config.sleeps:
                 problem = sleep_problem(p, sleep_s)
-                opts = OptimOptions(method=LBFGSB, maxit=config.iterations,
-                                    scheme=scheme, workers=size)
                 if progress is not None:
                     progress(f"bench {mode} p={p} sleep={sleep_s}")
                 with WorkerPool(size) as pool:
-                    _run_once(problem, opts, pool, use_gradient)  # warm-up
+                    run = (problem, pool, use_gradient, scheme, config.iterations)
+                    _run_once(*run)  # warm-up
                     for rep in range(1, config.repetitions + 1):
-                        per_iter, batches, fn_calls = _run_once(
-                            problem, opts, pool, use_gradient)
+                        per_iter, batches, fn_calls = _run_once(*run)
                         rows.append(BenchRow(mode, p, sleep_s, rep,
                                              per_iter, batches, fn_calls))
     return rows

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -43,16 +42,6 @@ def parse_list(cast):
         return [cast(tok) for tok in text.split(",")]
     parse.__name__ = f"{cast.__name__} list"  # named in argparse's usage errors
     return parse
-
-
-def default_workers(fallback: int) -> int:
-    raw = os.environ.get("PAROPT_WORKERS")
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"PAROPT_WORKERS must be an integer, got {raw!r}") from None
 
 
 def result_fields(result: OptimResult) -> dict:
@@ -118,14 +107,11 @@ def cmd_optimize(args) -> int:
     # an explicit scheme asks for finite differences
     gradient = problem.gradient if args.scheme is None else None
 
-    options = OptimOptions(
-        method=args.method, lower=lower, upper=upper, maxit=args.maxit,
-        eps=args.eps, scheme=args.scheme or CENTRAL,
-        workers=default_workers(OptimOptions.workers) if args.workers is None else args.workers,
-        loginfo=args.log_out is not None)
-
     start = time.perf_counter()
-    result = optimize(problem.objective, par0, gradient, options=options)
+    result = optimize(problem.objective, par0, gradient, method=args.method,
+                      lower=lower, upper=upper, maxit=args.maxit, eps=args.eps,
+                      scheme=args.scheme or CENTRAL, workers=args.workers,
+                      loginfo=args.log_out is not None)
     elapsed = time.perf_counter() - start
 
     if args.log_out is not None:
@@ -142,7 +128,7 @@ def cmd_bench(args) -> int:
         modes=tuple(args.modes),
         repetitions=args.reps,
         iterations=args.iters,
-        workers=default_workers(BenchConfig.workers) if args.workers is None else args.workers,
+        workers=args.workers,
     )
     rows = run_benchmark(config, progress=lambda msg: print(msg, file=sys.stderr))
     csv_text = emit_bench_csv(rows)
@@ -198,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--scheme", choices=[CENTRAL, FORWARD],
                      help="force finite differences with this stencil")
     opt.add_argument("--maxit", type=int, default=OptimOptions.maxit)
-    opt.add_argument("--workers", type=int, help="pool size (default $PAROPT_WORKERS or 1)")
+    opt.add_argument("--workers", type=int, default=OptimOptions.workers, help="pool size")
     opt.add_argument("--log-out", help="write the iteration log CSV here")
     opt.add_argument("--json", action="store_true", help="machine-readable output")
     opt.set_defaults(func=cmd_optimize)
@@ -209,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--modes", type=parse_list(str), default=BenchConfig.modes)
     ben.add_argument("--reps", type=int, default=BenchConfig.repetitions)
     ben.add_argument("--iters", type=int, default=BenchConfig.iterations)
-    ben.add_argument("--workers", type=int, help="pool size (default $PAROPT_WORKERS or 7)")
+    ben.add_argument("--workers", type=int, default=BenchConfig.workers, help="pool size")
     ben.add_argument("--out", help="write CSV here instead of stdout")
     ben.set_defaults(func=cmd_bench)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import check_count
+
 
 class LbfgsHistory:
     """Bounded history of (s, y) displacement/gradient-change pairs.
@@ -14,7 +16,7 @@ class LbfgsHistory:
     """
 
     def __init__(self, memory: int):
-        self.memory = int(memory)
+        self.memory = check_count("memory", memory)
         self._pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
 
     def __len__(self) -> int:

@@ -13,7 +13,6 @@ from contextlib import nullcontext
 import numpy as np
 
 from ..engine import WorkerPool
-from ..errors import ConfigError
 from ..evaluator import ANALYTIC, CoupledEvaluator
 from ..iterlog import IterationLog
 from ..stencil import as_parameter_vector
@@ -40,8 +39,8 @@ def active_mask(par, grad, lower, upper):
     return at_lower | at_upper
 
 
-def optimize(objective, par0, gradient=None, *, options=None, pool=None,
-             **overrides) -> OptimResult:
+def optimize(objective, par0, gradient=None, *, pool=None,
+             **options) -> OptimResult:
     """Minimize objective from par0, optionally with an analytic gradient.
 
     Parameters
@@ -53,14 +52,13 @@ def optimize(objective, par0, gradient=None, *, options=None, pool=None,
     gradient : callable, optional
         Analytic gradient.  When omitted the gradient comes from finite
         differences with the scheme and eps in the options.
-    options : OptimOptions, optional
-        Full option set.  Mutually exclusive with keyword overrides.
     pool : WorkerPool, optional
-        Evaluation pool to borrow.  When omitted a pool of
-        ``options.workers`` slots, the calling thread among them, is
-        created and closed internally.
-    **overrides
-        Convenience: OptimOptions fields, e.g. ``method="bfgs"``.
+        Evaluation pool to borrow.  When omitted a pool of ``workers``
+        slots, the calling thread among them, is created and closed
+        internally.
+    **options
+        OptimOptions fields, e.g. ``method="bfgs"``; the rest keep their
+        class defaults.
 
     Returns
     -------
@@ -68,11 +66,7 @@ def optimize(objective, par0, gradient=None, *, options=None, pool=None,
         Final point, value, evaluation counts, convergence code 0-2,
         message, and the iteration log when ``loginfo`` is set.
     """
-    if options is None:
-        options = OptimOptions(**overrides)
-    elif overrides:
-        raise ConfigError("pass either options= or keyword overrides, not both")
-    opts = options.validated()
+    opts = OptimOptions(**options).validated()
 
     par = as_parameter_vector(par0)
     with WorkerPool(opts.workers) if pool is None else nullcontext(pool) as pool:

@@ -136,7 +136,8 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     feasible cap has its binding coordinates set exactly to their bounds.
     Raises LineSearchFailure after MAX_TRIALS evaluations without an
     acceptable step or, with `rounded` set, when a trial inside the bracket
-    would round onto x0; and ValueError when d is not a descent direction.
+    would round onto x0; and ValueError when d is not a descent direction
+    or initial_step is not finite and > 0.
     A trial with a non-finite value or gradient closes the bracket there;
     any other EvaluationError, such as a gradient of the wrong shape, is
     raised.
@@ -148,6 +149,8 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     dphi0 = float(np.dot(g0, d))
     if not dphi0 < 0.0:
         raise ValueError(f"line search requires a descent direction, got d.g = {dphi0}")
+    if not 0.0 < initial_step < math.inf:
+        raise ValueError(f"initial_step must be finite and > 0, got {initial_step!r}")
 
     alpha_max, cap = max_feasible_step(x0, d, lower, upper)
     if alpha_max <= 0.0:
@@ -196,8 +199,6 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     a_hi = f_hi = dphi_hi = None
     a_nonfinite = math.inf  # the shortest step with a non-finite value
     alpha = min(float(initial_step), alpha_max)
-    if not alpha > 0.0:
-        alpha = alpha_max if np.isfinite(alpha_max) else 1.0
     while trials < MAX_TRIALS:
         if a_hi is None:
             a_j, xt = point(alpha)

@@ -113,29 +113,19 @@ def test_usage_errors_exit_2(argv, capsys):
     assert code == 2
 
 
-def test_workers_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("PAROPT_WORKERS", "junk")
-    code, _, err = run_cli(["optimize", "--problem", "quadratic"], capsys)
-    assert code == 2
-    assert "PAROPT_WORKERS" in err
-
-    monkeypatch.setenv("PAROPT_WORKERS", "2")
-    code, _, _ = run_cli(["optimize", "--problem", "quadratic"], capsys)
-    assert code == 0
-
-
 def test_parser_defaults_are_the_dataclass_defaults(monkeypatch, capsys):
     parser = build_parser()
     opt = parser.parse_args(["optimize", "--problem", "quadratic"])
-    assert (opt.maxit, opt.eps) == (OptimOptions.maxit, OptimOptions.eps)
+    assert (opt.maxit, opt.eps, opt.workers) == (
+        OptimOptions.maxit, OptimOptions.eps, OptimOptions.workers)
     ben = parser.parse_args(["bench"])
     assert (tuple(ben.dims), tuple(ben.sleeps), tuple(ben.modes), ben.reps,
-            ben.iters) == (BenchConfig.dims, BenchConfig.sleeps, BenchConfig.modes,
-                           BenchConfig.repetitions, BenchConfig.iterations)
+            ben.iters, ben.workers) == (BenchConfig.dims, BenchConfig.sleeps,
+                                        BenchConfig.modes, BenchConfig.repetitions,
+                                        BenchConfig.iterations, BenchConfig.workers)
 
-    # without flags or PAROPT_WORKERS, the bench command runs the default grid
+    # without flags, the bench command runs the default grid
     configs = []
-    monkeypatch.delenv("PAROPT_WORKERS", raising=False)
     monkeypatch.setattr(cli, "run_benchmark",
                         lambda config, progress: configs.append(config) or [])
     code, _, _ = run_cli(["bench"], capsys)
@@ -200,8 +190,7 @@ def test_bench_out_file(tmp_path, capsys):
     assert path.read_text().startswith("mode,p,sleep,rep,")
 
 
-def test_eps_flag_matches_the_library_call(monkeypatch, capsys):
-    monkeypatch.delenv("PAROPT_WORKERS", raising=False)
+def test_eps_flag_matches_the_library_call(capsys):
     code, doc, _ = run_json(["optimize", "--problem", "quadratic", "--par0", "0.7,-0.3",
                              "--scheme", "central", "--eps", "1e-5"], capsys)
     r = optimize(get_problem("quadratic").objective, [0.7, -0.3], scheme="central",

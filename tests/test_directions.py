@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from paropt import ConfigError
 from paropt.optimizers import LbfgsHistory, bfgs_update, cg_direction
 
 
@@ -46,6 +47,12 @@ def test_memory_is_bounded():
         s = rng.standard_normal(4)
         h.update(s, 2.0 * s)
     assert len(h) == 3
+
+
+@pytest.mark.parametrize("memory", [2.5, 0, -1, "5"])
+def test_memory_must_be_a_count(memory):
+    with pytest.raises(ConfigError, match="memory"):
+        LbfgsHistory(memory)
 
 
 def test_gamma_uses_newest_pair():

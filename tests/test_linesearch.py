@@ -251,6 +251,15 @@ def test_nan_direction_rejected_before_any_trial():
     assert ev.counts().batches == 1
 
 
+@pytest.mark.parametrize("initial", [0.0, -1.0, math.inf, math.nan])
+def test_initial_step_not_finite_and_positive_rejected_before_any_trial(initial):
+    ev = CoupledEvaluator(sum_sq, 2, gradient=sum_sq_grad)
+    x0, f0, g0 = start(ev, [1.0, 1.0])
+    with pytest.raises(ValueError, match="initial_step"):
+        wolfe_line_search(ev, x0, f0, g0, -g0, initial_step=initial)
+    assert ev.counts().batches == 1
+
+
 def test_direction_out_of_the_box_at_a_face_rejected():
     # x0 sits on the lower face of coordinate 0 and d leaves the box there
     ev = CoupledEvaluator(sum_sq, 2, gradient=sum_sq_grad)

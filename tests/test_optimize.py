@@ -418,9 +418,10 @@ def test_bounds_only_for_the_constrained_method():
         optimize(sum_sq, [1.0], sum_sq_grad, method="cg", upper=[2.0])
 
 
-def test_options_and_overrides_are_exclusive():
-    with pytest.raises(ConfigError):
-        optimize(sum_sq, [1.0], options=OptimOptions(), maxit=5)
+def test_settings_are_keywords_only():
+    # an OptimOptions bundle is not a setting; its fields are
+    with pytest.raises(TypeError, match="options"):
+        optimize(sum_sq, [1.0], options=OptimOptions())
 
 
 @pytest.mark.parametrize("bad", [

@@ -12,7 +12,9 @@ Results must depend on neither N nor K, so comparing a 1-worker file with
 an N-worker or K-caller file checks that promise.  It writes one JSON line
 per solve, in corpus order: par bytes, value, code, message, counts and a
 hash of the log CSV, or the exception the solve raised.
-`compare` prints each solve whose digest differs, then counts per group.
+`compare` prints each solve whose digest differs, then per group the count
+of identical solves and, before and after, the mean batches per solve and
+the number of nonzero codes (a solve that raised counts in neither).
 The groups: `bench`, the benchmark's start points (seeds 1-10); `rosen`,
 chained Rosenbrock in 2, 3 and 10 dimensions from 20 starts, every method,
 analytic, central `eps=1e-5`, central default-`eps` and forward `eps=1e-5`
@@ -29,6 +31,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -94,6 +97,13 @@ def outcome(d) -> str:
     return d.get("raised") or f"code {d['code']} value {d['value']} {d['message']!r}"
 
 
+def group_summary(digests, group) -> tuple:
+    """(mean batches per solve, nonzero codes) over a group's finished solves."""
+    done = [d for (g, _), d in digests.items() if g == group and "code" in d]
+    mean = sum(d["counts"][2] for d in done) / len(done) if done else math.nan
+    return mean, sum(d["code"] != 0 for d in done)
+
+
 def at_least_one(text) -> int:
     """argparse type: an integer >= 1, so a bad count exits 2 before OUT opens."""
     n = int(text)
@@ -131,7 +141,10 @@ def main(argv=None) -> int:
             changed[k[0]] += 1
             print(f"{k[0]} {k[1]}: {outcome(before.get(k))} -> {outcome(after.get(k))}")
     for group, n in totals.items():
-        print(f"{group}: {n - changed[group]} of {n} identical")
+        (b_mean, b_bad), (a_mean, a_bad) = (group_summary(side, group)
+                                            for side in (before, after))
+        print(f"{group}: {n - changed[group]} of {n} identical; batches per solve "
+              f"{b_mean:.2f} -> {a_mean:.2f}; nonzero codes {b_bad} -> {a_bad}")
     return 1 if changed else 0
 
 
