@@ -4,9 +4,10 @@ worker-pool batches, iteration logging, and a timing benchmark."""
 
 from .bench import BenchConfig, BenchRow, emit_bench_csv, run_benchmark
 from .data import gen_normal_dataset, load_dataset
-from .engine import WorkerPool, evaluate_batch, parallel_value_and_gradient
+from .engine import WorkerPool
 from .errors import ConfigError, DatasetError, DimensionError, EvaluationError
-from .evaluator import ANALYTIC, CoupledEvaluator, EvalCounts, make_coupled_evaluator
+from .evaluator import (ANALYTIC, CoupledEvaluator, EvalCounts, evaluate_batch,
+                        make_coupled_evaluator, parallel_value_and_gradient)
 from .gradcheck import GradCheckReport, GradCheckRow, agreement_tolerance, check_gradient
 from .iterlog import IterationLog, LogRow, format_float
 from .optimizers import (BFGS, CG, LBFGSB, METHODS, Convergence, OptimOptions,

@@ -12,6 +12,7 @@ import numpy as np
 
 from .bench import BenchConfig, emit_bench_csv, run_benchmark
 from .data import gen_normal_dataset, load_dataset
+from .engine import WorkerPool
 from .errors import ConfigError, DatasetError, DimensionError, EvaluationError
 from .gradcheck import check_gradient
 from .iterlog import format_float
@@ -107,12 +108,12 @@ def cmd_optimize(args) -> int:
     # an explicit scheme asks for finite differences
     gradient = problem.gradient if args.scheme is None else None
 
-    start = time.perf_counter()
-    result = optimize(problem.objective, par0, gradient, method=args.method,
-                      lower=lower, upper=upper, maxit=args.maxit, eps=args.eps,
-                      scheme=args.scheme or CENTRAL, workers=args.workers,
-                      loginfo=args.log_out is not None)
-    elapsed = time.perf_counter() - start
+    with WorkerPool(args.workers) as pool:
+        start = time.perf_counter()
+        result = optimize(problem.objective, par0, gradient, pool=pool, method=args.method,
+                          lower=lower, upper=upper, maxit=args.maxit, eps=args.eps,
+                          scheme=args.scheme or CENTRAL, loginfo=args.log_out is not None)
+        elapsed = time.perf_counter() - start
 
     if args.log_out is not None:
         with open(args.log_out, "w", encoding="utf-8") as fh:
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--scheme", choices=[CENTRAL, FORWARD],
                      help="force finite differences with this stencil")
     opt.add_argument("--maxit", type=int, default=OptimOptions.maxit)
-    opt.add_argument("--workers", type=int, default=OptimOptions.workers, help="pool size")
+    opt.add_argument("--workers", type=int, default=1, help="pool size")
     opt.add_argument("--log-out", help="write the iteration log CSV here")
     opt.add_argument("--json", action="store_true", help="machine-readable output")
     opt.set_defaults(func=cmd_optimize)

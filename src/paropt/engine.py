@@ -1,12 +1,13 @@
-"""Worker pool and batched evaluation of independent objective calls.
+"""Worker pool: the default runner of a solve's evaluation batches.
 
 A pool of `size` evaluation slots runs pure-function tasks and hands the
 results back in submission order, so outputs are bitwise-independent of
-pool size and of task completion order.  A batch is split into at most
-`size` contiguous chunks: the calling thread, slot 0, runs the first, and any
-free one of `size - 1` daemon threads sharing one FIFO inbox runs each other
-and reports its end on the batch's done queue.  A calling thread is slot 0
-of its own batches, so K callers can run up to K + size - 1 tasks at once.
+pool size and of task completion order; any object whose run_batch(tasks)
+does the same can replace it.  A batch is split into at most `size`
+contiguous chunks: the calling thread, slot 0, runs the first, and any free
+one of `size - 1` daemon threads sharing one FIFO inbox runs each other and
+reports its end on the batch's done queue.  A calling thread is slot 0 of
+its own batches, so K callers can run up to K + size - 1 tasks at once.
 
 Every pool size follows one error policy: a task's Exception is held until
 the whole batch has drained, then the first in submission order is
@@ -25,9 +26,7 @@ import queue
 import threading
 import weakref
 
-import numpy as np
-
-from .errors import EvaluationError, NonFiniteError, check_count
+from .errors import check_count
 
 
 def _run(tasks, outcomes, lo, hi):
@@ -129,40 +128,3 @@ class WorkerPool:
     def __repr__(self):
         return f"WorkerPool(size={self.size})"
 
-
-def _finite_value(value, x) -> float:
-    fv = float(value)
-    if not np.isfinite(fv):
-        raise NonFiniteError(f"objective returned non-finite value {fv} at {x}", point=x)
-    return fv
-
-
-def evaluate_batch(pool: WorkerPool, objective, points) -> list[float]:
-    """Evaluate the objective at every point, in parallel, results in
-    submission order.
-
-    Raises NonFiniteError naming the first point (in submission order)
-    whose value is non-finite; exceptions raised by the objective itself
-    propagate after the batch drains.
-    """
-    pts = [np.asarray(pt, dtype=np.float64) for pt in points]
-    values = pool.run_batch([lambda x=x: objective(x) for x in pts])
-    return [_finite_value(v, x) for x, v in zip(pts, values)]
-
-
-def parallel_value_and_gradient(pool: WorkerPool, objective, gradient, par):
-    """Run objective(par) and gradient(par) as two concurrent tasks.
-
-    With pool size >= 2 the elapsed time approaches max of the two call
-    durations; results are identical to sequential execution.  Checks the
-    gradient's shape and the value's finiteness; the caller checks the
-    gradient's entries.
-    """
-    x = np.asarray(par, dtype=np.float64)
-    value, grad = pool.run_batch([lambda: objective(x), lambda: gradient(x)])
-    gv = np.asarray(grad, dtype=np.float64)
-    if gv.shape != x.shape:
-        raise EvaluationError(
-            f"gradient returned shape {gv.shape}, expected {x.shape}", point=x
-        )
-    return _finite_value(value, x), gv

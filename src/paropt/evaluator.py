@@ -5,19 +5,57 @@ one (possibly parallel) evaluation of both; the companion query at the
 same parameters is then served from the cache.  The cache holds only the
 most recent evaluation and is keyed on bitwise equality of the full parameter
 vector, so any change in any coordinate forces a fresh evaluation batch.
+The objective contract is checked here and only here: a finite value, and a
+gradient of the parameters' shape with finite entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import stencil as st
-from .engine import WorkerPool, evaluate_batch, parallel_value_and_gradient
-from .errors import NonFiniteError, check_choice, check_count
+from .engine import WorkerPool
+from .errors import EvaluationError, NonFiniteError, check_choice, check_count
 
 ANALYTIC = "analytic"
+
+
+def _finite_value(value, x) -> float:
+    fv = float(value)
+    if not np.isfinite(fv):
+        raise NonFiniteError(f"objective returned non-finite value {fv} at {x}", point=x)
+    return fv
+
+
+def evaluate_batch(pool, objective, points) -> list[float]:
+    """Evaluate the objective at every point as one batch, in submission order.
+
+    Raises NonFiniteError naming the first point (in submission order)
+    whose value is non-finite; the pool's own policy passes on what the
+    objective raises.
+    """
+    pts = [np.asarray(pt, dtype=np.float64) for pt in points]
+    values = pool.run_batch([partial(objective, x) for x in pts])
+    return [_finite_value(v, x) for x, v in zip(pts, values)]
+
+
+def parallel_value_and_gradient(pool, objective, gradient, par):
+    """Run objective(par) and gradient(par) as one batch of two tasks.
+
+    With two or more slots the elapsed time approaches the longer of the
+    two calls; results are identical to sequential execution.  Checks the
+    gradient's shape and the value's finiteness; the caller checks the
+    gradient's entries.
+    """
+    x = np.asarray(par, dtype=np.float64)
+    value, grad = pool.run_batch([partial(objective, x), partial(gradient, x)])
+    gv = np.asarray(grad, dtype=np.float64)
+    if gv.shape != x.shape:
+        raise EvaluationError(f"gradient returned shape {gv.shape}, expected {x.shape}", point=x)
+    return _finite_value(value, x), gv
 
 
 @dataclass(frozen=True)
@@ -53,8 +91,8 @@ class CoupledEvaluator:
         Per-coordinate finite-difference step, > 0.
     lower, upper : array_like, optional
         Box bounds; stencil steps are clamped so no point leaves the box.
-    pool : WorkerPool, optional
-        Evaluation pool.  Defaults to a private single-slot pool.
+    pool : object with run_batch(tasks), optional
+        Runs each batch, as a WorkerPool does.  Defaults to a private one-slot pool.
     """
 
     def __init__(self, objective, dim, gradient=None, scheme=st.CENTRAL,

@@ -8,11 +8,8 @@ batch laws exactly and parallel execution never changes the arithmetic.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
-from ..engine import WorkerPool
 from ..evaluator import ANALYTIC, CoupledEvaluator
 from ..iterlog import IterationLog
 from ..stencil import as_parameter_vector
@@ -52,10 +49,10 @@ def optimize(objective, par0, gradient=None, *, pool=None,
     gradient : callable, optional
         Analytic gradient.  When omitted the gradient comes from finite
         differences with the scheme and eps in the options.
-    pool : WorkerPool, optional
-        Evaluation pool to borrow.  When omitted a pool of ``workers``
-        slots, the calling thread among them, is created and closed
-        internally.
+    pool : object with run_batch(tasks), optional
+        Evaluation pool to borrow, such as a WorkerPool: any object whose
+        ``run_batch(tasks)`` returns the tasks' results in submission
+        order.  When omitted, each batch runs on the calling thread.
     **options
         OptimOptions fields, e.g. ``method="bfgs"``; the rest keep their
         class defaults.
@@ -69,10 +66,9 @@ def optimize(objective, par0, gradient=None, *, pool=None,
     opts = OptimOptions(**options).validated()
 
     par = as_parameter_vector(par0)
-    with WorkerPool(opts.workers) if pool is None else nullcontext(pool) as pool:
-        ev = CoupledEvaluator(objective, par.size, gradient=gradient,
-                              scheme=opts.scheme, eps=opts.eps,
-                              lower=opts.lower, upper=opts.upper, pool=pool)
+    with CoupledEvaluator(objective, par.size, gradient=gradient,
+                          scheme=opts.scheme, eps=opts.eps,
+                          lower=opts.lower, upper=opts.upper, pool=pool) as ev:
         log = IterationLog(par.size) if opts.loginfo else None
         return _minimize(ev, np.clip(par, ev.lower, ev.upper), opts, log)
 

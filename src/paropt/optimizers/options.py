@@ -52,13 +52,12 @@ class OptimOptions:
     reltol: float = float(np.sqrt(MACHINE_EPS))
     eps: object = 1e-3
     scheme: str = "central"
-    workers: int = 1
     loginfo: bool = False
 
     def validated(self) -> "OptimOptions":
         check_choice("method", self.method, METHODS)
         check_choice("scheme", self.scheme, SCHEMES)
-        for name in ("maxit", "memory_m", "workers"):
+        for name in ("maxit", "memory_m"):
             check_count(name, getattr(self, name))
         for name in ("factr", "pgtol", "reltol"):
             check_nonnegative(name, getattr(self, name))

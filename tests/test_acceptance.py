@@ -15,6 +15,7 @@ import pytest
 
 from paropt.bench import BenchConfig, run_benchmark
 from paropt.data import gen_normal_dataset
+from paropt.engine import WorkerPool
 from paropt.evaluator import ANALYTIC, EvalCounts, make_coupled_evaluator
 from paropt.gradcheck import check_gradient
 from paropt.iterlog import IterationLog
@@ -54,13 +55,14 @@ def test_results_identical_across_worker_counts():
     runs.append(dict(objective=negll.objective, par0=negll.par0,
                      gradient=negll.gradient, lower=negll.lower))
 
-    for kwargs in runs:
-        objective = kwargs.pop("objective")
-        par0 = kwargs.pop("par0")
-        gradient = kwargs.pop("gradient", None)
-        serial = optimize(objective, par0, gradient, workers=1, **kwargs)
-        wide = optimize(objective, par0, gradient, workers=8, **kwargs)
-        assert identical(serial, wide)
+    with WorkerPool(1) as one, WorkerPool(8) as eight:
+        for kwargs in runs:
+            objective = kwargs.pop("objective")
+            par0 = kwargs.pop("par0")
+            gradient = kwargs.pop("gradient", None)
+            serial = optimize(objective, par0, gradient, pool=one, **kwargs)
+            wide = optimize(objective, par0, gradient, pool=eight, **kwargs)
+            assert identical(serial, wide)
 
     print(f"PASS worker counts 1 and 8 agree bitwise on {len(runs)} runs")
 

@@ -105,9 +105,10 @@ def test_log_out_round_trips(tmp_path, capsys):
     ["optimize", "--problem", "quadratic", "--frobnicate"],
     ["bench", "--modes", "warpspeed", "--dims", "1", "--sleeps", "0"],
     ["optimize", "--problem", "quadratic", "--loginfo"],
+    ["optimize", "--problem", "quadratic", "--workers", "0"],
 ], ids=["unknown-problem", "missing-problem", "bad-par0", "data-on-closed-form",
         "missing-data-file", "zero-maxit", "unknown-command", "unknown-flag",
-        "bad-bench-mode", "removed-loginfo"])
+        "bad-bench-mode", "removed-loginfo", "zero-workers"])
 def test_usage_errors_exit_2(argv, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 2
@@ -116,8 +117,7 @@ def test_usage_errors_exit_2(argv, capsys):
 def test_parser_defaults_are_the_dataclass_defaults(monkeypatch, capsys):
     parser = build_parser()
     opt = parser.parse_args(["optimize", "--problem", "quadratic"])
-    assert (opt.maxit, opt.eps, opt.workers) == (
-        OptimOptions.maxit, OptimOptions.eps, OptimOptions.workers)
+    assert (opt.maxit, opt.eps, opt.workers) == (OptimOptions.maxit, OptimOptions.eps, 1)
     ben = parser.parse_args(["bench"])
     assert (tuple(ben.dims), tuple(ben.sleeps), tuple(ben.modes), ben.reps,
             ben.iters, ben.workers) == (BenchConfig.dims, BenchConfig.sleeps,

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bitwise_corpus.py"
+# the tool's docstring gives the command that rewrites this file
+GOLDEN = Path(__file__).resolve().parent / "corpus_every_8th.jsonl"
 
 
 def load_tool():
@@ -17,7 +19,7 @@ def load_tool():
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
-@pytest.mark.parametrize("flag", ["--workers", "--callers"])
+@pytest.mark.parametrize("flag", ["--workers", "--callers", "--every"])
 def test_bad_count_exits_2_and_leaves_out_untouched(tmp_path, capsys, flag, value):
     out = tmp_path / "digests.jsonl"
     out.write_text('{"kept": true}\n', encoding="utf-8")
@@ -54,3 +56,13 @@ def test_compare_lists_changes_and_summarizes_each_group(tmp_path, capsys):
         "bench: 2 of 2 identical; batches per solve 15.00 -> 15.00; nonzero codes 1 -> 1",
         "negll: 1 of 1 identical; batches per solve nan -> nan; nonzero codes 0 -> 0",
     ]
+
+
+def test_every_8th_corpus_solve_keeps_its_golden_digest(tmp_path, capsys):
+    # 200 solves from all five groups on 1 slot; worker-count independence
+    # is left to the properties
+    out = tmp_path / "digests.jsonl"
+    tool = load_tool()
+    assert tool.main(["run", str(out), "--every", "8"]) == 0
+    changed = tool.main(["compare", str(GOLDEN), str(out)])
+    assert not changed, capsys.readouterr().out

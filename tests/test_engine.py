@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from paropt.engine import WorkerPool, evaluate_batch, parallel_value_and_gradient
+from paropt.engine import WorkerPool
+from paropt.evaluator import evaluate_batch, parallel_value_and_gradient
 from paropt.errors import ConfigError, EvaluationError
 
 

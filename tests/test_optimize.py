@@ -193,10 +193,11 @@ def solve_shifted_quadratic(start, shift, kind, **options):
 @given(box=held_boxes(), kind=st.sampled_from(sorted(GRADIENT_KINDS)))
 def test_fixed_coordinates_are_held_bitwise_on_1_and_3_workers(box, kind):
     start, shift, fixed = box
-    a, b = [solve_shifted_quadratic(start, shift, kind, workers=w,
-                                    lower=np.where(fixed, shift, -np.inf),
-                                    upper=np.where(fixed, shift, np.inf))
-            for w in (1, 3)]
+    with WorkerPool(1) as one, WorkerPool(3) as three:
+        a, b = [solve_shifted_quadratic(start, shift, kind, pool=pool,
+                                        lower=np.where(fixed, shift, -np.inf),
+                                        upper=np.where(fixed, shift, np.inf))
+                for pool in (one, three)]
     for par in [a.par] + [row.par for row in a.log.rows]:
         assert par[fixed].tobytes() == shift[fixed].tobytes()
     assert a.par.tobytes() == b.par.tobytes()
@@ -257,11 +258,11 @@ def test_counts_follow_the_count_laws(case, counted):
             requests.append(np.array(par, dtype=np.float64))
             return original(ev, par)
 
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, WorkerPool(slots) as pool:
             mp.setattr(CoupledEvaluator, "value_and_gradient", request)
-            r = optimize(fn, start, gr if kind == "analytic" else None,
+            r = optimize(fn, start, gr if kind == "analytic" else None, pool=pool,
                          scheme="forward" if kind == "forward" else "central", eps=eps,
-                         lower=lower, upper=upper, method=method, workers=slots)
+                         lower=lower, upper=upper, method=method)
         c = r.counts
         assert (c.fn_calls, c.gr_calls) == (len(fn.calls), len(gr.calls))
         # the evaluator's cache holds one point, so a batch runs on each change
@@ -334,9 +335,10 @@ def test_wrong_gradient_shape_at_a_trial_raises():
 
 def solve_quartic(case, objective=quartic, gradient=quartic_grad, **options):
     method, kind, start, eps, lower, upper, size = case
-    return optimize(objective, start, gradient if kind == "analytic" else None,
-                    scheme="forward" if kind == "forward" else "central", eps=eps,
-                    lower=lower, upper=upper, method=method, workers=size, **options)
+    with WorkerPool(size) as pool:
+        return optimize(objective, start, gradient if kind == "analytic" else None,
+                        pool=pool, scheme="forward" if kind == "forward" else "central",
+                        eps=eps, lower=lower, upper=upper, method=method, **options)
 
 
 @settings(max_examples=10)
@@ -424,12 +426,17 @@ def test_settings_are_keywords_only():
         optimize(sum_sq, [1.0], options=OptimOptions())
 
 
+def test_pool_size_is_not_a_setting():
+    # a solve runs where its pool= runs it, so there is no workers= to size one
+    with pytest.raises(TypeError, match="workers"):
+        optimize(sum_sq, [1.0], workers=2)
+
+
 @pytest.mark.parametrize("bad", [
     dict(method="newton"),
     dict(maxit=0),
     dict(maxit="5"),
     dict(maxit=2.5),
-    dict(workers=0),
     dict(memory_m=0),
     dict(factr=-1.0),
     dict(pgtol=-0.5),
@@ -464,8 +471,8 @@ def test_value_is_reported_from_the_final_record():
                          ids=["differences", "analytic"])
 def test_worker_count_does_not_change_results(gradient):
     par0 = np.array([0.7, -0.3, 0.9])
-    runs = [optimize(sum_sq, par0, gradient, workers=w) for w in (1, 8)]
-    a, b = runs
+    with WorkerPool(1) as one, WorkerPool(8) as eight:
+        a, b = [optimize(sum_sq, par0, gradient, pool=pool) for pool in (one, eight)]
     assert a.par.tobytes() == b.par.tobytes()
     assert a.value == b.value
     assert a.counts == b.counts
@@ -554,8 +561,9 @@ def test_failed_line_search_without_memory_is_code_2(method):
 def test_rosenbrock_is_bitwise_the_same_on_1_and_3_workers(method, jitter):
     # central differences at the default eps reach the noise floor, where
     # quasi-Newton and conjugate searches fail and are retried
-    a, b = [optimize(rosen, np.add([-1.2, 1.0], jitter), method=method,
-                     workers=w, loginfo=True) for w in (1, 3)]
+    with WorkerPool(1) as one, WorkerPool(3) as three:
+        a, b = [optimize(rosen, np.add([-1.2, 1.0], jitter), method=method,
+                         pool=pool, loginfo=True) for pool in (one, three)]
     assert a.par.tobytes() == b.par.tobytes()
     assert (a.value, a.code, a.message, a.counts) == (b.value, b.code, b.message, b.counts)
     assert a.log.to_csv() == b.log.to_csv()
@@ -617,9 +625,10 @@ def boxed_solves(draw):
 @given(case=boxed_solves())
 def test_boxed_lbfgsb_is_bitwise_the_same_on_1_and_3_workers(case, chained_rosenbrock):
     start, kind, eps, lower, upper = case
-    a, b = [outcome(solve_chained_rosenbrock(chained_rosenbrock, start, kind, eps=eps,
-                                             lower=lower, upper=upper, workers=w))
-            for w in (1, 3)]
+    with WorkerPool(1) as one, WorkerPool(3) as three:
+        a, b = [outcome(solve_chained_rosenbrock(chained_rosenbrock, start, kind, eps=eps,
+                                                 lower=lower, upper=upper, pool=pool))
+                for pool in (one, three)]
     assert a == b
 
 

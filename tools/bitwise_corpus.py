@@ -1,7 +1,7 @@
 """Per-solve digests of a fixed corpus, to check that a change leaves results
 bitwise the same.
 
-    PYTHONPATH=src python tools/bitwise_corpus.py run after.jsonl [--workers N] [--callers K]
+    PYTHONPATH=src python tools/bitwise_corpus.py run after.jsonl [--workers N] [--callers K] [--every E]
     python tools/bitwise_corpus.py compare before.jsonl after.jsonl
 
 `run` solves the corpus with the paropt on the import path (point PYTHONPATH
@@ -11,7 +11,12 @@ taking the next unsolved entry of the corpus, so up to K solves run at once.
 Results must depend on neither N nor K, so comparing a 1-worker file with
 an N-worker or K-caller file checks that promise.  It writes one JSON line
 per solve, in corpus order: par bytes, value, code, message, counts and a
-hash of the log CSV, or the exception the solve raised.
+hash of the log CSV, or the exception the solve raised.  With E > 1 it
+solves only every E-th entry of the corpus, the first included; the tier-1
+test pins `tests/corpus_every_8th.jsonl`, and a change meant to move paths
+rewrites that file with
+
+    PYTHONPATH=src python tools/bitwise_corpus.py run tests/corpus_every_8th.jsonl --every 8
 `compare` prints each solve whose digest differs, then per group the count
 of identical solves and, before and after, the mean batches per solve and
 the number of nonzero codes (a solve that raised counts in neither).
@@ -120,10 +125,12 @@ def main(argv=None) -> int:
                         help="run: pool slots (default 1)")
     parser.add_argument("--callers", type=at_least_one, default=1,
                         help="run: threads solving at once on the pool (default 1)")
+    parser.add_argument("--every", type=at_least_one, default=1,
+                        help="run: solve only every E-th corpus entry (default 1)")
     args = parser.parse_args(argv)
     if args.command == "run":
         import paropt
-        solves = list(corpus())
+        solves = list(corpus())[::args.every]
         with open(args.files[0], "w", encoding="utf-8") as fh, \
                 paropt.WorkerPool(args.workers) as pool, \
                 concurrent.futures.ThreadPoolExecutor(args.callers) as callers:
