@@ -84,8 +84,8 @@ def bfgs_update(H: np.ndarray | None, s, y) -> np.ndarray | None:
 def cg_direction(grad, prev_grad=None, prev_direction=None) -> np.ndarray:
     """Fletcher-Reeves conjugate direction -g + beta * d_prev.
 
-    The first iteration (no previous state) is steepest descent, as is any
-    iteration where the conjugate direction fails to be a descent direction.
+    The first iteration (no previous state) is steepest descent.  A direction
+    that is not downhill is returned as is: restarting is the caller's job.
     """
     g = np.asarray(grad, dtype=np.float64)
     if prev_grad is None or prev_direction is None:
@@ -94,7 +94,4 @@ def cg_direction(grad, prev_grad=None, prev_direction=None) -> np.ndarray:
     if gg_prev <= 0.0:
         return -g
     beta = float(np.dot(g, g)) / gg_prev
-    d = -g + beta * np.asarray(prev_direction, dtype=np.float64)
-    if float(np.dot(d, g)) >= 0.0:
-        return -g
-    return d
+    return -g + beta * np.asarray(prev_direction, dtype=np.float64)

@@ -82,7 +82,7 @@ def _minimize(ev, par, opts, log):
         log.append(par, f, g)
 
     drop_memory = True
-    prev_drop = None
+    prev_drop = 0.0
 
     code = Convergence.MAXIT_REACHED
     message = f"iteration limit of {opts.maxit} reached"
@@ -103,7 +103,7 @@ def _minimize(ev, par, opts, log):
             hessian = prev_g = prev_d = None
             steps_since_restart = 0
             drop_memory = False
-        steepest = len(history) == 0 and hessian is None
+        steepest = len(history) == 0 and hessian is None and prev_d is None
 
         if method == LBFGSB:
             mask = active_mask(par, g, lower, upper)
@@ -115,15 +115,13 @@ def _minimize(ev, par, opts, log):
             d = -g if hessian is None else -(hessian @ g)
         else:
             d = cg_direction(g, prev_g, prev_d)
-            # also -g when the Fletcher-Reeves direction is not downhill
-            steepest = np.array_equal(d, -g)
 
         dphi0 = float(np.dot(d, g))
         c2 = 0.1 if method == CG else 0.9
         try:
             if not dphi0 < 0.0:
                 raise LineSearchFailure("no descent direction available")
-            if method == CG and prev_drop is not None and prev_drop > 0.0:
+            if method == CG and prev_drop > 0.0:
                 initial = min(1.0, 2.02 * prev_drop / (-dphi0))
             elif steepest:
                 initial = min(1.0, 1.0 / float(np.abs(d).max()))

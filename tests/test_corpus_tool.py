@@ -46,7 +46,7 @@ def test_compare_lists_changes_and_summarizes_each_group(tmp_path, capsys):
     write_digests(after, [solve("bench", "a", 0, 10), solve("bench", "b", 0, 31), raised])
     assert load_tool().main(["compare", str(before), str(after)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "bench b: code 2 value 0.0 'm' -> code 0 value 0.0 'm'",
+        "bench b: code 2 batches 20 value 0.0 'm' -> code 0 batches 31 value 0.0 'm'",
         "bench: 1 of 2 identical; batches per solve 15.00 -> 20.50; nonzero codes 1 -> 0",
         "negll: 1 of 1 identical; batches per solve nan -> nan; nonzero codes 0 -> 0",
     ]

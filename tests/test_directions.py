@@ -96,10 +96,10 @@ def test_cg_no_progress_gives_beta_one():
     assert cg_direction(g, g, d_prev).tolist() == (-g + d_prev).tolist()
 
 
-def test_cg_resets_when_not_descending():
+def test_cg_returns_an_uphill_direction_as_is():
+    # beta = 1 gives (99, 0), an ascent direction; restarting is the driver's
     g = np.array([1.0, 0.0])
-    # beta = 1 would give (99, 0), an ascent direction
-    assert cg_direction(g, g, np.array([100.0, 0.0])).tolist() == [-1.0, 0.0]
+    assert cg_direction(g, g, np.array([100.0, 0.0])).tolist() == [99.0, 0.0]
 
 
 def test_cg_zero_previous_gradient_is_steepest_descent():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from paropt import (ConfigError, CoupledEvaluator, EvaluationError, IterationLog,
                     OptimOptions, WorkerPool, build_stencil, optimize)
 from paropt.errors import NonFiniteError
-from paropt.optimizers import LineSearchFailure, driver, wolfe_line_search
+from paropt.optimizers import LineSearchFailure, cg_direction, driver, wolfe_line_search
 
 
 def sum_sq(x):
@@ -519,8 +519,9 @@ def test_failed_line_search_refreshes_the_memory(monkeypatch, method, failing):
 
 def test_cg_never_retries_the_search_that_just_failed(monkeypatch, chained_rosenbrock,
                                                       rosenbrock_starts):
-    # from this start a Fletcher-Reeves direction is not downhill, and its
-    # steepest-descent stand-in fails; a retry would run the same search again
+    # from this start a Fletcher-Reeves direction is not downhill, and the
+    # steepest-descent search the driver restarts with fails; a retry would
+    # run the same search again
     fn, _ = chained_rosenbrock
     calls = []
 
@@ -532,6 +533,39 @@ def test_cg_never_retries_the_search_that_just_failed(monkeypatch, chained_rosen
     r = optimize(fn, rosenbrock_starts(2, 4, seed=2)[3], method="cg", maxit=1000)
     assert r.code == 0, r.message
     assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
+def test_cg_restarts_its_cycle_along_steepest_descent_when_not_downhill(
+        monkeypatch, chained_rosenbrock, rosenbrock_starts):
+    # the driver spends no evaluation on an uphill Fletcher-Reeves direction:
+    # it drops the previous direction and searches along -g from the same point
+    fn, _ = chained_rosenbrock
+    events = []
+
+    def direction_spy(g, prev_g, prev_d):
+        # whether the Fletcher-Reeves direction from this state is uphill
+        uphill = prev_d is not None and float(np.dot(
+            -g + float(np.dot(g, g)) / float(np.dot(prev_g, prev_g)) * prev_d, g)) >= 0.0
+        events.append(("direction", prev_d is None, uphill))
+        return cg_direction(g, prev_g, prev_d)
+
+    def search_spy(ev, par, f, g, d, *args, **kwargs):
+        events.append(("search", par.tobytes(), np.array_equal(d, -g)))
+        ls = wolfe_line_search(ev, par, f, g, d, *args, **kwargs)
+        events.append(("accepted", ls.par.tobytes()))
+        return ls
+
+    monkeypatch.setattr(driver, "cg_direction", direction_spy)
+    monkeypatch.setattr(driver, "wolfe_line_search", search_spy)
+    # the start of the test above, where one Fletcher-Reeves direction is uphill
+    r = optimize(fn, rosenbrock_starts(2, 4, seed=2)[3], method="cg", maxit=1000)
+    assert r.code == 0, r.message
+    uphill = [i for i, e in enumerate(events) if e == ("direction", False, True)]
+    assert uphill
+    for i in uphill:
+        point = events[i - 1][1]
+        assert events[i + 1][:2] == ("direction", True)
+        assert events[i + 2] == ("search", point, True)
 
 
 @pytest.mark.parametrize("method", ["lbfgsb", "bfgs"])

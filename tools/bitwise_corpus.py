@@ -17,9 +17,10 @@ test pins `tests/corpus_every_8th.jsonl`, and a change meant to move paths
 rewrites that file with
 
     PYTHONPATH=src python tools/bitwise_corpus.py run tests/corpus_every_8th.jsonl --every 8
-`compare` prints each solve whose digest differs, then per group the count
-of identical solves and, before and after, the mean batches per solve and
-the number of nonzero codes (a solve that raised counts in neither).
+`compare` prints each solve whose digest differs, with its code, batches,
+value and message before and after, then per group the count of identical
+solves and, before and after, the mean batches per solve and the number of
+nonzero codes (a solve that raised counts in neither).
 The groups: `bench`, the benchmark's start points (seeds 1-10); `rosen`,
 chained Rosenbrock in 2, 3 and 10 dimensions from 20 starts, every method,
 analytic, central `eps=1e-5`, central default-`eps` and forward `eps=1e-5`
@@ -99,7 +100,8 @@ def digest(pool, objective, gradient, start, options) -> dict:
 
 def outcome(d) -> str:
     d = d or {"raised": "missing"}
-    return d.get("raised") or f"code {d['code']} value {d['value']} {d['message']!r}"
+    return d.get("raised") or (f"code {d['code']} batches {d['counts'][2]} "
+                               f"value {d['value']} {d['message']!r}")
 
 
 def group_summary(digests, group) -> tuple:
