@@ -2,7 +2,7 @@
 dimension, per-call delay, and evaluation mode.
 
 Serial modes run every stencil point sequentially in the calling thread;
-parallel modes dispatch each batch to a worker pool.  The response is
+parallel modes dispatch each batch to one shared pool.  The response is
 wall time per batch: with an exactly quadratic objective the line search
 lands on the one-dimensional minimum, so batches coincide with accepted
 iterations plus the initial evaluation, and the per-batch quotient stays
@@ -21,15 +21,13 @@ from .problems import sleep_problem
 from .stencil import CENTRAL, FORWARD
 from .iterlog import format_float
 
-# mode -> (pool size for dimension p and the configured workers w,
-#          analytic gradient, difference scheme)
+# mode -> (runs on the shared pool, analytic gradient, difference scheme)
 MODE_SETUP = {
-    "serial_analytic": (lambda p, w: 1, True, CENTRAL),
-    "serial_approx": (lambda p, w: 1, False, CENTRAL),
-    "parallel_analytic": (lambda p, w: w, True, CENTRAL),
-    "parallel_approx": (lambda p, w: w, False, CENTRAL),
-    # forward stencils have 1+p points, so 1+p workers cover a full wave
-    "parallel_forward": (lambda p, w: min(w, 1 + p), False, FORWARD),
+    "serial_analytic": (False, True, CENTRAL),
+    "serial_approx": (False, False, CENTRAL),
+    "parallel_analytic": (True, True, CENTRAL),
+    "parallel_approx": (True, False, CENTRAL),
+    "parallel_forward": (True, False, FORWARD),
 }
 MODES = tuple(MODE_SETUP)
 
@@ -70,40 +68,36 @@ class BenchRow:
     fn_calls: int
 
 
-def _run_once(problem, pool, use_gradient, scheme, maxit):
-    gradient = problem.gradient if use_gradient else None
-    start = time.perf_counter()
-    result = optimize(problem.objective, problem.par0, gradient, pool=pool,
-                      method=LBFGSB, maxit=maxit, scheme=scheme)
-    elapsed = time.perf_counter() - start
-    batches = result.counts.batches
-    return elapsed / batches, batches, result.counts.fn_calls
-
-
 def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRow]:
     """Measure every (mode, p, sleep, repetition) cell of the grid.
 
-    Each cell gets a dedicated pool and one discarded warm-up run, so
-    pool spin-up never pollutes the per-iteration numbers.  Rows come
-    back in mode-major order matching the configuration lists.
+    One pool of `config.workers` slots, started before the first cell,
+    serves every parallel mode; serial modes pass no pool, so each batch
+    runs on the calling thread.  Every repetition is one timed solve.
+    Rows come back in mode-major order matching the configuration lists.
     """
     config = config.validated()
     rows = []
-    for mode in config.modes:
-        for p in config.dims:
-            pool_size, use_gradient, scheme = MODE_SETUP[mode]
-            size = pool_size(p, config.workers)
-            for sleep_s in config.sleeps:
-                problem = sleep_problem(p, sleep_s)
-                if progress is not None:
-                    progress(f"bench {mode} p={p} sleep={sleep_s}")
-                with WorkerPool(size) as pool:
-                    run = (problem, pool, use_gradient, scheme, config.iterations)
-                    _run_once(*run)  # warm-up
+    with WorkerPool(config.workers) as shared:
+        for mode in config.modes:
+            parallel, analytic, scheme = MODE_SETUP[mode]
+            pool = shared if parallel else None
+            for p in config.dims:
+                for sleep_s in config.sleeps:
+                    problem = sleep_problem(p, sleep_s)
+                    gradient = problem.gradient if analytic else None
+                    if progress is not None:
+                        progress(f"bench {mode} p={p} sleep={sleep_s}")
                     for rep in range(1, config.repetitions + 1):
-                        per_iter, batches, fn_calls = _run_once(*run)
+                        start = time.perf_counter()
+                        result = optimize(problem.objective, problem.par0, gradient,
+                                          pool=pool, method=LBFGSB,
+                                          maxit=config.iterations, scheme=scheme)
+                        elapsed = time.perf_counter() - start
+                        counts = result.counts
                         rows.append(BenchRow(mode, p, sleep_s, rep,
-                                             per_iter, batches, fn_calls))
+                                             elapsed / counts.batches,
+                                             counts.batches, counts.fn_calls))
     return rows
 
 

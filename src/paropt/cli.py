@@ -196,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--modes", type=parse_list(str), default=BenchConfig.modes)
     ben.add_argument("--reps", type=int, default=BenchConfig.repetitions)
     ben.add_argument("--iters", type=int, default=BenchConfig.iterations)
-    ben.add_argument("--workers", type=int, default=BenchConfig.workers, help="pool size")
+    ben.add_argument("--workers", type=int, default=BenchConfig.workers,
+                     help="size of the one pool the parallel modes share; "
+                          "serial modes run on the calling thread")
     ben.add_argument("--out", help="write CSV here instead of stdout")
     ben.set_defaults(func=cmd_bench)
 

@@ -127,8 +127,7 @@ def _minimize(ev, par, opts, log):
                 initial = min(1.0, 1.0 / float(np.abs(d).max()))
             else:
                 initial = 1.0
-            ls = wolfe_line_search(ev, par, f, g, d, lower, upper,
-                                   c2=c2, initial_step=initial)
+            ls = wolfe_line_search(ev, par, f, g, d, c2=c2, initial_step=initial)
         except LineSearchFailure as exc:
             if not steepest:
                 # as optim's L-BFGS-B, BFGS and CG do: drop the memory and

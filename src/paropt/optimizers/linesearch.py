@@ -128,12 +128,13 @@ def _interpolate(a_lo, f_lo, dphi_lo, a_hi, f_hi, dphi_hi):
     return a_lo + min(max(t / width, 0.1), 0.9) * width
 
 
-def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
+def wolfe_line_search(evaluator, x0, f0, g0, d, *,
                       c2=0.9, initial_step=1.0) -> LineSearchResult:
     """Find a step satisfying the strong Wolfe conditions along d.
 
-    Trial points are x0 + alpha*d truncated to the box; the point at the
-    feasible cap has its binding coordinates set exactly to their bounds.
+    Trial points are x0 + alpha*d truncated to the evaluator's box; the
+    point at the feasible cap has its binding coordinates set exactly to
+    their bounds.
     Raises LineSearchFailure after MAX_TRIALS evaluations without an
     acceptable step or, with `rounded` set, when a trial inside the bracket
     would round onto x0; and ValueError when d is not a descent direction
@@ -144,8 +145,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, lower=None, upper=None, *,
     """
     x0 = np.asarray(x0, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    lower = np.full(x0.shape, -np.inf) if lower is None else lower
-    upper = np.full(x0.shape, np.inf) if upper is None else upper
+    lower, upper = evaluator.lower, evaluator.upper
     dphi0 = float(np.dot(g0, d))
     if not dphi0 < 0.0:
         raise ValueError(f"line search requires a descent direction, got d.g = {dphi0}")

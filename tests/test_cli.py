@@ -84,6 +84,15 @@ def test_negll_with_dataset_file(tmp_path, capsys):
     assert abs(doc["par"][1] - math.sqrt(1.25)) < 1e-4
 
 
+def test_dataset_on_a_closed_form_problem_is_refused(tmp_path, capsys):
+    path = tmp_path / "sample.txt"
+    path.write_text("1\n2\n3\n4\n")
+    code, _, err = run_cli(["optimize", "--problem", "rosenbrock",
+                            "--data", str(path)], capsys)
+    assert code == 2
+    assert "takes no dataset" in err
+
+
 def test_log_out_round_trips(tmp_path, capsys):
     path = tmp_path / "trace.csv"
     code, _, _ = run_cli(["optimize", "--problem", "quadratic",

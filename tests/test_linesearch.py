@@ -83,15 +83,21 @@ def test_cap_point_lands_exactly_on_bound():
     def grad(x):
         return np.array([2.0 * (x[0] - 2.0)])
 
-    upper = np.array([1.0])
-    lower = np.array([-np.inf])
-    ev = CoupledEvaluator(obj, 1, gradient=grad, lower=lower, upper=upper)
+    ev = CoupledEvaluator(obj, 1, gradient=grad, upper=[1.0])
     x0, f0, g0 = start(ev, [0.0])
-    ls = wolfe_line_search(ev, x0, f0, g0, -g0, lower, upper)
+    ls = wolfe_line_search(ev, x0, f0, g0, -g0)
     assert ls.par[0] == 1.0  # binding coordinate snapped to the bound
     assert ls.step == pytest.approx(0.25)
     # the refinement probe beyond the cap re-reads the cached cap point
     assert ev.counts().batches == 2
+
+
+def test_search_takes_its_box_from_the_evaluator():
+    # no box is passed to the search; a first trial at 4 would leave it
+    ev = CoupledEvaluator(lambda x: float((x[0] - 2.0) ** 2), 1, upper=[0.5])
+    x0, f0, g0 = start(ev, [0.0])
+    ls = wolfe_line_search(ev, x0, f0, g0, -g0)
+    assert ls.par[0] == 0.5
 
 
 def test_failure_carries_the_trial_count():
@@ -262,9 +268,8 @@ def test_initial_step_not_finite_and_positive_rejected_before_any_trial(initial)
 
 def test_direction_out_of_the_box_at_a_face_rejected():
     # x0 sits on the lower face of coordinate 0 and d leaves the box there
-    ev = CoupledEvaluator(sum_sq, 2, gradient=sum_sq_grad)
+    ev = CoupledEvaluator(sum_sq, 2, gradient=sum_sq_grad, lower=[1.0, -np.inf])
     x0, f0, g0 = start(ev, [1.0, 0.5])
-    lower, upper = np.array([1.0, -np.inf]), np.full(2, np.inf)
     with pytest.raises(ValueError, match="no feasible movement"):
-        wolfe_line_search(ev, x0, f0, g0, np.array([-1.0, 0.0]), lower, upper)
+        wolfe_line_search(ev, x0, f0, g0, np.array([-1.0, 0.0]))
     assert ev.counts().batches == 1

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as hst
 
 from paropt import CoupledEvaluator
 from paropt.errors import ConfigError, DimensionError
-from paropt.stencil import (FORWARD, SCHEMES, as_parameter_vector, assemble_gradient,
-                            build_stencil, validate_bounds, validate_eps)
+from paropt.stencil import (CENTRAL, FORWARD, SCHEMES, as_parameter_vector,
+                            assemble_gradient, build_stencil, validate_bounds,
+                            validate_eps)
 
 
 def test_central_point_count_and_order():
@@ -166,6 +167,9 @@ def stencil_cases(draw):
 
 
 @given(stencil_cases())
+# unclamped, the plus point x + (upper - x) rounds to 0.008277025938204424
+@example((np.array([-0.05495936876730595]), np.array([0.1]), CENTRAL,
+          np.array([-np.inf]), np.array([0.008277025938204417])))
 def test_stencil_stays_in_the_box_in_contract_order(case):
     center, eps, scheme, lower, upper = case
     points = build_stencil(center, eps, scheme, lower, upper).points
