@@ -7,13 +7,13 @@ from .data import gen_normal_dataset, load_dataset
 from .engine import WorkerPool
 from .errors import ConfigError, DatasetError, DimensionError, EvaluationError
 from .evaluator import (ANALYTIC, CoupledEvaluator, EvalCounts, evaluate_batch,
-                        make_coupled_evaluator, parallel_value_and_gradient)
+                        parallel_value_and_gradient)
 from .gradcheck import GradCheckReport, GradCheckRow, agreement_tolerance, check_gradient
 from .iterlog import IterationLog, LogRow, format_float
 from .optimizers import (BFGS, CG, LBFGSB, METHODS, Convergence, OptimOptions,
                          OptimResult, optimize)
 from .problems import ProblemSpec, get_problem, problem_names, sleep_problem
-from .stencil import CENTRAL, FORWARD, Stencil, StencilPoint, build_stencil
+from .stencil import CENTRAL, FORWARD, Stencil, build_stencil
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "OptimResult",
     "ProblemSpec",
     "Stencil",
-    "StencilPoint",
     "WorkerPool",
     "agreement_tolerance",
     "build_stencil",
@@ -53,7 +52,6 @@ __all__ = [
     "gen_normal_dataset",
     "get_problem",
     "load_dataset",
-    "make_coupled_evaluator",
     "optimize",
     "parallel_value_and_gradient",
     "problem_names",

@@ -33,9 +33,9 @@ def _finite_value(value, x) -> float:
 def evaluate_batch(pool, objective, points) -> list[float]:
     """Evaluate the objective at every point as one batch, in submission order.
 
-    Raises NonFiniteError naming the first point (in submission order)
-    whose value is non-finite; the pool's own policy passes on what the
-    objective raises.
+    `points` may be the rows of a matrix.  Raises NonFiniteError naming the
+    first point (in submission order) whose value is non-finite; the pool's
+    own policy passes on what the objective raises.
     """
     pts = [np.asarray(pt, dtype=np.float64) for pt in points]
     values = pool.run_batch([partial(objective, x) for x in pts])
@@ -92,7 +92,9 @@ class CoupledEvaluator:
     lower, upper : array_like, optional
         Box bounds; stencil steps are clamped so no point leaves the box.
     pool : object with run_batch(tasks), optional
-        Runs each batch, as a WorkerPool does.  Defaults to a private one-slot pool.
+        Runs each batch, as a WorkerPool does.  Defaults to a one-slot
+        pool, which runs each batch on the calling thread and starts no
+        thread, so the evaluator holds nothing to close.
     """
 
     def __init__(self, objective, dim, gradient=None, scheme=st.CENTRAL,
@@ -104,7 +106,6 @@ class CoupledEvaluator:
             "difference scheme", scheme, st.SCHEMES)
         self.eps = st.validate_eps(eps, self.dim)
         self.lower, self.upper = st.validate_bounds(lower, upper, self.dim)
-        self._owns_pool = pool is None
         self.pool = pool if pool is not None else WorkerPool(1)
         self._fn_calls = 0
         self._gr_calls = 0
@@ -149,25 +150,9 @@ class CoupledEvaluator:
             sten = st.build_stencil(x, self.eps, self.mode, self.lower, self.upper)
             self._batches += 1
             self._fn_calls += len(sten.points)
-            values = evaluate_batch(
-                self.pool, self._objective, [pt.point for pt in sten.points]
-            )
+            values = evaluate_batch(self.pool, self._objective, sten.points)
             value, grad = st.assemble_gradient(values, sten)
         # an analytic gradient, or a quotient of finite values that overflowed
         if not np.all(np.isfinite(grad)):
             raise NonFiniteError(f"gradient has non-finite entries {grad} at {x}", point=x)
         return value, grad
-
-    def close(self):
-        if self._owns_pool:
-            self.pool.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
-
-make_coupled_evaluator = CoupledEvaluator

@@ -66,11 +66,11 @@ def optimize(objective, par0, gradient=None, *, pool=None,
     opts = OptimOptions(**options).validated()
 
     par = as_parameter_vector(par0)
-    with CoupledEvaluator(objective, par.size, gradient=gradient,
+    ev = CoupledEvaluator(objective, par.size, gradient=gradient,
                           scheme=opts.scheme, eps=opts.eps,
-                          lower=opts.lower, upper=opts.upper, pool=pool) as ev:
-        log = IterationLog(par.size) if opts.loginfo else None
-        return _minimize(ev, np.clip(par, ev.lower, ev.upper), opts, log)
+                          lower=opts.lower, upper=opts.upper, pool=pool)
+    log = IterationLog(par.size) if opts.loginfo else None
+    return _minimize(ev, np.clip(par, ev.lower, ev.upper), opts, log)
 
 
 def _minimize(ev, par, opts, log):

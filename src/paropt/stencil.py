@@ -1,12 +1,13 @@
 """Finite-difference stencil construction and gradient assembly.
 
-A stencil is the ordered set of points at which the objective must be
-evaluated to produce both its value and a difference-quotient gradient at
-a center point.  Construction clamps steps so every point stays inside
-box bounds; assembly turns the evaluated values back into a gradient.
+A stencil is the matrix of points, one per row, at which the objective must
+be evaluated to produce both its value and a difference-quotient gradient
+at a center point.  Construction clamps steps so every point stays inside
+box bounds; assembly reads the evaluated values back through two index
+vectors, one row per coordinate and side, into a gradient.
 
-Point order is fixed: center first, then per coordinate in ascending
-order, plus point before minus point.  Evaluation counts and error
+Row order is fixed: the center first, then per coordinate in ascending
+order, the plus row before the minus row.  Evaluation counts and error
 reporting depend on this order, so it is part of the contract.
 """
 
@@ -24,16 +25,6 @@ FORWARD = "forward"
 SCHEMES = (CENTRAL, FORWARD)
 
 
-@dataclass(frozen=True)
-class StencilPoint:
-    """One evaluation point: the center, or a plus/minus displacement of
-    coordinate `coord` (coord is -1 for the center)."""
-
-    point: np.ndarray
-    role: str  # "center" | "plus" | "minus"
-    coord: int
-
-
 @dataclass
 class Stencil:
     """Evaluation points for one coupled value/gradient computation.
@@ -45,11 +36,12 @@ class Stencil:
     where a zero step on either side means that side's value is read from
     the center evaluation instead of a separate point.  A coordinate the
     box fixes has both steps zero, no point and a quotient of 0.0.
-    `plus_index` and `minus_index` map each coordinate to the position (in
-    `points`) holding that side's value; index 0 is always the center.
+    `points` is a (k, p) matrix, row 0 the center; `plus_index` and
+    `minus_index`, the only record of which row serves which side, map
+    each coordinate to the row holding that side's value.
     """
 
-    points: list[StencilPoint]
+    points: np.ndarray
     h_plus: np.ndarray
     h_minus: np.ndarray
     plus_index: np.ndarray
@@ -130,26 +122,25 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
         # Forward uses the plus side only; fall back to backward at a bound.
         h_minus = np.where(h_plus > 0.0, 0.0, h_minus)
 
-    points = [StencilPoint(x.copy(), "center", -1)]
+    rows = [x]
     plus_index = np.zeros(p, dtype=np.intp)
     minus_index = np.zeros(p, dtype=np.intp)
     for i in range(p):
-        for role, step, index in (("plus", h_plus[i], plus_index),
-                                  ("minus", -h_minus[i], minus_index)):
+        for step, index in ((h_plus[i], plus_index), (-h_minus[i], minus_index)):
             if step != 0.0:
                 xs = x.copy()
                 xs[i] = min(max(x[i] + step, lo[i]), hi[i])  # rounding guard
-                index[i] = len(points)
-                points.append(StencilPoint(xs, role, i))
+                index[i] = len(rows)
+                rows.append(xs)
 
-    return Stencil(points, h_plus, h_minus, plus_index, minus_index)
+    return Stencil(np.array(rows), h_plus, h_minus, plus_index, minus_index)
 
 
 def assemble_gradient(values, stencil: Stencil) -> tuple[float, np.ndarray]:
     """Turn stencil-point objective values into (center value, gradient).
 
-    `values` must align with `stencil.points`.  The center value is
-    returned alongside the gradient so the caller can cache it.
+    `values` must align with the rows of `stencil.points`.  The center
+    value is returned alongside the gradient so the caller can cache it.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.shape != (len(stencil.points),):

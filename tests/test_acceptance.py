@@ -16,7 +16,7 @@ import pytest
 from paropt.bench import BenchConfig, run_benchmark
 from paropt.data import gen_normal_dataset
 from paropt.engine import WorkerPool
-from paropt.evaluator import ANALYTIC, EvalCounts, make_coupled_evaluator
+from paropt.evaluator import ANALYTIC, CoupledEvaluator, EvalCounts
 from paropt.gradcheck import check_gradient
 from paropt.iterlog import IterationLog
 from paropt.optimizers import optimize
@@ -91,23 +91,22 @@ def test_evaluation_count_laws():
     """Batch and call counters follow the stencil sizes exactly."""
     x = np.array([0.3, -0.7, 1.1])
 
-    with make_coupled_evaluator(quad, 3, scheme=CENTRAL) as ev:
-        ev.value_and_gradient(x)
-        assert ev.counts() == EvalCounts(fn_calls=7, gr_calls=0, batches=1)
+    ev = CoupledEvaluator(quad, 3, scheme=CENTRAL)
+    ev.value_and_gradient(x)
+    assert ev.counts() == EvalCounts(fn_calls=7, gr_calls=0, batches=1)
 
-    with make_coupled_evaluator(quad, 3, scheme=FORWARD) as ev:
-        ev.value_and_gradient(x)
-        assert ev.counts() == EvalCounts(fn_calls=4, gr_calls=0, batches=1)
+    ev = CoupledEvaluator(quad, 3, scheme=FORWARD)
+    ev.value_and_gradient(x)
+    assert ev.counts() == EvalCounts(fn_calls=4, gr_calls=0, batches=1)
 
-    with make_coupled_evaluator(quad, 3, scheme=CENTRAL) as ev:
-        ev.value(x)
-        ev.gradient(x)
-        assert ev.counts() == EvalCounts(fn_calls=7, gr_calls=0, batches=1)
+    ev = CoupledEvaluator(quad, 3, scheme=CENTRAL)
+    ev.value(x)
+    ev.gradient(x)
+    assert ev.counts() == EvalCounts(fn_calls=7, gr_calls=0, batches=1)
 
-    with make_coupled_evaluator(quad, 3, gradient=quad_grad,
-                                scheme=ANALYTIC) as ev:
-        ev.value_and_gradient(x)
-        assert ev.counts() == EvalCounts(fn_calls=1, gr_calls=1, batches=1)
+    ev = CoupledEvaluator(quad, 3, gradient=quad_grad, scheme=ANALYTIC)
+    ev.value_and_gradient(x)
+    assert ev.counts() == EvalCounts(fn_calls=1, gr_calls=1, batches=1)
 
     print("PASS evaluation counts match stencil sizes exactly")
 
@@ -119,8 +118,7 @@ def test_difference_gradient_fidelity():
     for k in range(100):
         p = 1 + k % 5
         x = rng.uniform(-5.0, 5.0, size=p)
-        with make_coupled_evaluator(quad, p, eps=1e-3) as ev:
-            approx = ev.gradient(x)
+        approx = CoupledEvaluator(quad, p, eps=1e-3).gradient(x)
         worst = max(worst, float(np.max(np.abs(approx - quad_grad(x)))))
     assert worst <= 1e-9
 
@@ -212,9 +210,9 @@ def test_iteration_log_contract():
     log = result.log
     assert log is not None and len(log) >= 2
 
-    with make_coupled_evaluator(quad, 2, eps=1e-3) as ev:
-        f0 = ev.value(par0)
-        g0 = ev.gradient(par0)
+    ev = CoupledEvaluator(quad, 2, eps=1e-3)
+    f0 = ev.value(par0)
+    g0 = ev.gradient(par0)
     first, last = log.rows[0], log.rows[-1]
     assert first.iter == 1
     assert first.par.tobytes() == par0.tobytes()

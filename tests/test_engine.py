@@ -293,10 +293,12 @@ def test_unclosed_pool_lets_the_interpreter_exit():
     assert done.returncode == 0
 
 
-def test_close_joins_the_slot_threads():
+@pytest.mark.parametrize("size", [1, 4])
+def test_close_joins_the_slot_threads(size):
+    # a one-slot pool starts no thread: its batches run on the caller
     before = threading.active_count()
-    pool = WorkerPool(4)
-    assert threading.active_count() == before + 3
+    pool = WorkerPool(size)
+    assert threading.active_count() == before + size - 1
     pool.run_batch([lambda: 1] * 4)
     pool.close()
     assert threading.active_count() == before

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paropt import agreement_tolerance, check_gradient, gen_normal_dataset
-from paropt.errors import ConfigError
+from paropt.errors import ConfigError, EvaluationError
 from paropt.gradcheck import sample_feasible_points
 from paropt.problems import normal_negll_problem
 
@@ -32,6 +32,20 @@ def test_wrong_gradient_fails():
     report = check_gradient(sum_sq, lambda x: sum_sq_grad(x) + 0.5, [1.0, 1.0])
     assert not report.passed
     assert report.worst.max_abs_err >= 0.4
+
+
+@pytest.mark.parametrize("gradient", [lambda x: np.array([1.0]), lambda x: 1.0],
+                         ids=["length-1", "scalar"])
+def test_gradient_of_the_wrong_shape_is_refused(gradient):
+    # broadcasting would otherwise pass this against the gradient [1, 1, 1]
+    with pytest.raises(EvaluationError, match=r"expected \(3,\)"):
+        check_gradient(lambda x: float(np.sum(x)), gradient, [1.0, 2.0, 3.0])
+
+
+def test_non_finite_gradient_entry_fails_its_row():
+    report = check_gradient(sum_sq, lambda x: np.array([np.nan, 2.0 * x[1]]), [1.0, 1.0],
+                            points=2)
+    assert not any(row.ok for row in report.rows)
 
 
 def test_sampled_points_respect_bounds():

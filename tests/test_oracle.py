@@ -52,10 +52,9 @@ def test_scipy_driven_evaluator_spends_one_batch_per_point(gradient, chained_ros
     # and then the gradient at each point, and the coupled evaluator answers
     # both from one batch
     fn, gr = chained_rosenbrock
-    with CoupledEvaluator(fn, 2, gradient=gr if gradient == "analytic" else None,
-                          eps=1e-5) as ev:
-        res = scipy_optimize.minimize(ev.value, [-1.2, 1.0], jac=ev.gradient,
-                                      method="L-BFGS-B", options={"maxcor": 5})
+    ev = CoupledEvaluator(fn, 2, gradient=gr if gradient == "analytic" else None, eps=1e-5)
+    res = scipy_optimize.minimize(ev.value, [-1.2, 1.0], jac=ev.gradient,
+                                  method="L-BFGS-B", options={"maxcor": 5})
     counts = ev.counts()
     assert res.success
     # 47 points with SciPy 1.17.1, for both gradient kinds

@@ -13,35 +13,37 @@ from paropt.stencil import (CENTRAL, FORWARD, SCHEMES, as_parameter_vector,
 
 
 def test_central_point_count_and_order():
-    st = build_stencil(np.array([1.0, 2.0, 3.0]), 1e-3)
-    assert len(st.points) == 7
-    assert st.points[0].role == "center"
-    assert [(pt.role, pt.coord) for pt in st.points[1:]] == [
-        ("plus", 0), ("minus", 0),
-        ("plus", 1), ("minus", 1),
-        ("plus", 2), ("minus", 2),
-    ]
+    x = np.array([1.0, 2.0, 3.0])
+    st = build_stencil(x, 1e-3)
+    assert st.points.shape == (7, 3) and st.points.dtype == np.float64
+    assert np.array_equal(st.points[0], x)
+    # per coordinate ascending, plus row before minus row
+    assert st.plus_index.tolist() == [1, 3, 5]
+    assert st.minus_index.tolist() == [2, 4, 6]
 
 
 def test_forward_point_count():
     st = build_stencil(np.array([1.0, 2.0]), 1e-3, scheme=FORWARD)
-    assert len(st.points) == 3
-    assert [pt.role for pt in st.points] == ["center", "plus", "plus"]
+    assert st.points.shape == (3, 2)
+    assert st.plus_index.tolist() == [1, 2]
+    assert st.minus_index.tolist() == [0, 0]  # no minus rows
 
 
 def test_points_displace_exactly_one_coordinate():
     x = np.array([0.5, -1.5])
     st = build_stencil(x, 1e-3)
-    for pt in st.points[1:]:
-        diff = pt.point - x
-        assert np.count_nonzero(diff) == 1
-        assert abs(diff[pt.coord]) == pytest.approx(1e-3)
+    for i in range(x.size):
+        for row, sign in ((st.plus_index[i], 1.0), (st.minus_index[i], -1.0)):
+            diff = st.points[row] - x
+            assert np.count_nonzero(diff) == 1
+            assert diff[i] == pytest.approx(sign * 1e-3)
 
 
 def test_scalar_eps_broadcasts_and_vector_eps_applies_per_coordinate():
     st = build_stencil(np.array([1.0, 1.0]), [1e-3, 1e-2])
     assert st.h_plus.tolist() == [1e-3, 1e-2]
-    assert st.points[3].point[1] == pytest.approx(1.01)
+    assert st.plus_index[1] == 3
+    assert st.points[3, 1] == pytest.approx(1.01)
 
 
 def test_clamp_at_bound_drops_side_and_reads_center():
@@ -56,7 +58,7 @@ def test_clamp_at_bound_drops_side_and_reads_center():
 def test_partial_clamp_keeps_points_inside():
     st = build_stencil(np.array([0.9995]), 1e-3, upper=[1.0])
     assert st.h_plus[0] == pytest.approx(0.0005)
-    assert all(pt.point[0] <= 1.0 for pt in st.points)
+    assert np.all(st.points[:, 0] <= 1.0)
 
 
 def test_forward_falls_back_to_backward_at_bound():
@@ -69,8 +71,9 @@ def test_fixed_coordinate_gets_no_point_and_a_zero_quotient():
     for scheme in SCHEMES:
         st = build_stencil(np.array([0.5, 0.5]), 1e-3, scheme=scheme,
                            lower=[0.0, 0.5], upper=[1.0, 0.5])
-        assert all(pt.coord != 1 and pt.point[1] == 0.5 for pt in st.points)
-        assert st.plus_index[1] == st.minus_index[1] == 0
+        assert np.all(st.points[:, 1] == 0.5)
+        assert st.plus_index[1] == st.minus_index[1] == 0  # no row of its own
+        assert len(st.points) == 1 + np.count_nonzero([st.plus_index[0], st.minus_index[0]])
         values = np.arange(len(st.points), dtype=np.float64)
         assert assemble_gradient(values, st)[1][1] == 0.0
 
@@ -94,7 +97,7 @@ def test_assemble_known_values():
 
 def test_assemble_exact_on_quadratic():
     st = build_stencil(np.array([3.0]), 1e-3)
-    vals = [float(pt.point @ pt.point) for pt in st.points]
+    vals = [float(row @ row) for row in st.points]
     value, grad = assemble_gradient(vals, st)
     assert value == 9.0
     assert grad[0] == pytest.approx(6.0, abs=1e-9)
@@ -103,7 +106,7 @@ def test_assemble_exact_on_quadratic():
 def test_one_sided_quotient_uses_center_value():
     # x^2 pinned at upper bound 1: (f(1) - f(0.999)) / 0.001
     st = build_stencil(np.array([1.0]), 1e-3, upper=[1.0])
-    vals = [float(pt.point @ pt.point) for pt in st.points]
+    vals = [float(row @ row) for row in st.points]
     _, grad = assemble_gradient(vals, st)
     assert grad[0] == pytest.approx((1.0 - 0.999 ** 2) / 1e-3)
 
@@ -172,16 +175,18 @@ def stencil_cases(draw):
           np.array([-np.inf]), np.array([0.008277025938204417])))
 def test_stencil_stays_in_the_box_in_contract_order(case):
     center, eps, scheme, lower, upper = case
-    points = build_stencil(center, eps, scheme, lower, upper).points
-    assert (points[0].role, points[0].coord) == ("center", -1)
-    assert np.array_equal(points[0].point, center)
-    # per coordinate ascending, plus before minus
-    keys = [(pt.coord, {"plus": 0, "minus": 1}[pt.role]) for pt in points[1:]]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-    for pt in points:
-        assert np.all(lower <= pt.point) and np.all(pt.point <= upper)
-        others = np.arange(center.size) != pt.coord
-        assert np.array_equal(pt.point[others], center[others])
+    sten = build_stencil(center, eps, scheme, lower, upper)
+    points = sten.points
+    assert points.dtype == np.float64 and points.shape == (len(points), center.size)
+    assert np.array_equal(points[0], center)
+    # per coordinate ascending, plus before minus, and no stray row
+    sides = [(i, row) for i in range(center.size)
+             for row in (sten.plus_index[i], sten.minus_index[i]) if row != 0]
+    assert [row for _, row in sides] == list(range(1, len(points)))
+    assert np.all(lower <= points) and np.all(points <= upper)
+    for i, row in sides:
+        others = np.arange(center.size) != i
+        assert np.array_equal(points[row][others], center[others])
 
     calls = []
     ev = CoupledEvaluator(lambda x: calls.append(x) or float(np.sum(x)), center.size,
