@@ -73,8 +73,10 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRow]:
 
     One pool of `config.workers` slots, started before the first cell,
     serves every parallel mode; serial modes pass no pool, so each batch
-    runs on the calling thread.  Every repetition is one timed solve.
-    Rows come back in mode-major order matching the configuration lists.
+    runs on the calling thread.  Every repetition is one timed solve with no
+    warm-up, so a zero-sleep cell right after a sleeping one also times the
+    cold-cache wake-up in its first repetitions.  Rows come back in
+    mode-major order matching the configuration lists.
     """
     config = config.validated()
     rows = []

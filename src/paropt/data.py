@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, check_count
+from .errors import ConfigError, DatasetError, check_count, check_seed
 
 
 def load_dataset(path) -> np.ndarray:
@@ -36,6 +36,7 @@ def gen_normal_dataset(n: int, mean: float = 5.0, sd: float = 2.0,
     stream does not depend on numpy's choice of normal algorithm.
     """
     n = check_count("n", n)
+    seed = check_seed(seed)
     if not (np.isfinite(mean) and np.isfinite(sd) and sd > 0.0):
         raise ConfigError(f"need a finite mean and a finite sd > 0, got mean={mean}, sd={sd}")
     rng = np.random.Generator(np.random.PCG64(seed))

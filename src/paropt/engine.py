@@ -3,16 +3,15 @@
 A pool of `size` evaluation slots runs pure-function tasks and hands the
 results back in submission order, so outputs are bitwise-independent of
 pool size and of task completion order; any object whose run_batch(tasks)
-does the same can replace it.  A batch is split into at most `size`
-contiguous chunks: the calling thread, slot 0, runs the first, and any free
-one of `size - 1` daemon threads sharing one FIFO inbox runs each other and
-reports its end on the batch's done queue.  A calling thread is slot 0 of
-its own batches, so K callers can run up to K + size - 1 tasks at once.
+does the same can replace it.  A calling thread is slot 0 of its own
+batches and `size - 1` daemon threads share one FIFO inbox; each slot of a
+batch takes its next task until none is left, so a slow task holds up only
+its own slot, and K callers can run up to K + size - 1 tasks at once.
 
 Every pool size follows one error policy: a task's Exception is held until
 the whole batch has drained, then the first in submission order is
 re-raised; any other BaseException (such as KeyboardInterrupt) goes ahead,
-at once on the calling thread, after the other chunks on a slot thread.
+at once on the calling thread, after the rest of the batch on a slot thread.
 close() lets batches already submitted finish; later ones raise RuntimeError.
 
 Wall-clock speedup requires the objective to release the GIL while it
@@ -29,11 +28,11 @@ import weakref
 from .errors import check_count
 
 
-def _run(tasks, outcomes, lo, hi):
-    """Run tasks[lo:hi] into outcomes[lo:hi]: (result, None) per task, or
-    (None, exc) when it raises an Exception.  Any other BaseException
-    escapes."""
-    for i in range(lo, hi):
+def _run(tasks, outcomes, todo):
+    """Run tasks[i] into outcomes[i] for each index i taken from `todo`
+    until it is empty: (result, None) per task, or (None, exc) when it
+    raises an Exception.  Any other BaseException escapes."""
+    for i in todo:
         try:
             outcomes[i] = tasks[i](), None
         except Exception as exc:  # drained; re-raised by run_batch
@@ -41,13 +40,12 @@ def _run(tasks, outcomes, lo, hi):
 
 
 def _serve(inbox):
-    """Body of a slot thread: run chunks in arrival order until None, and
-    put each chunk's end report on its batch's done queue: None, or the
-    BaseException that ended the chunk."""
-    for tasks, outcomes, lo, hi, done in iter(inbox.get, None):
+    """Body of a slot thread: help batches in arrival order until None, putting
+    on each one's done queue None, or the BaseException that stopped this slot."""
+    for tasks, outcomes, todo, done in iter(inbox.get, None):
         report = None
         try:
-            _run(tasks, outcomes, lo, hi)
+            _run(tasks, outcomes, todo)
         except BaseException as exc:  # re-raised on the calling thread
             report = exc
         done.put(report)
@@ -61,12 +59,10 @@ def _stop_slots(inbox, threads):
 class WorkerPool:
     """Fixed-size pool of evaluation slots with a blocking batch-submit API.
 
-    The calling thread is slot 0, and `size - 1` daemon threads sharing one
-    inbox are the rest; any free thread runs a batch's next chunk, and the
-    caller takes one end report per slot chunk.  Threads may run batches, or
-    whole optimization runs, on one pool at once, each as slot 0 of its own.
-    Use as a context manager or call close(); a pool that is dropped
-    unclosed stops its threads when it is collected.
+    Threads may run batches, or whole optimization runs, on one pool at
+    once, each as slot 0 of its own.  Use as a context manager or call
+    close(); a pool that is dropped unclosed stops its threads when it is
+    collected.
     """
 
     def __init__(self, size: int = 1):
@@ -87,23 +83,26 @@ class WorkerPool:
         If tasks raise Exceptions, the whole batch drains first and then the
         first of them in submission order is re-raised.  Any other
         BaseException, such as KeyboardInterrupt, goes ahead of them: at
-        once when a task on the calling thread raises it, after the other
-        chunks finish when one on a slot thread does.  A batch submitted
-        after close() raises RuntimeError; one submitted before it finishes.
+        once from the calling thread, whose untaken tasks the slot threads
+        still run, and after the rest of the batch from a slot thread.  A
+        batch submitted after close() raises RuntimeError; one submitted
+        before it finishes.
         """
         tasks = list(tasks)
         n = len(tasks)
-        chunks = max(1, min(self.size, n))
-        bounds = [n * c // chunks for c in range(chunks + 1)]
+        # every slot takes indices from this one iterator, safe only because
+        # next() is atomic under the GIL; a free-threaded build needs a lock
+        todo = iter(range(n))
         outcomes = [None] * n
         done = queue.SimpleQueue()
+        helpers = min(self.size, n) - 1
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                self._inbox.put((tasks, outcomes, lo, hi, done))
-        _run(tasks, outcomes, 0, bounds[1])
-        for report in [done.get() for _ in range(chunks - 1)]:
+            for _ in range(helpers):
+                self._inbox.put((tasks, outcomes, todo, done))
+        _run(tasks, outcomes, todo)
+        for report in [done.get() for _ in range(helpers)]:
             if report is not None:
                 raise report
         for _, exc in outcomes:
@@ -127,4 +126,3 @@ class WorkerPool:
 
     def __repr__(self):
         return f"WorkerPool(size={self.size})"
-

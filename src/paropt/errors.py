@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the input rules every
-public entry point checks its counts, durations and named choices with."""
+public entry point checks its counts, seeds, durations and named choices
+with."""
 
 import math
 import numbers
@@ -39,6 +40,13 @@ def check_count(name, value) -> int:
     """`value` as an int when it is an integral number >= 1, else ConfigError."""
     if not isinstance(value, numbers.Integral) or value < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def check_seed(value) -> int:
+    """`value` as an int when it is an integral number >= 0, else ConfigError."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {value!r}")
     return int(value)
 
 

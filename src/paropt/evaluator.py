@@ -5,8 +5,8 @@ one (possibly parallel) evaluation of both; the companion query at the
 same parameters is then served from the cache.  The cache holds only the
 most recent evaluation and is keyed on bitwise equality of the full parameter
 vector, so any change in any coordinate forces a fresh evaluation batch.
-The objective contract is checked here and only here: a finite value, and a
-gradient of the parameters' shape with finite entries.
+The objective contract is checked here and only here: a finite scalar value,
+and a gradient of the parameters' shape with finite entries.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ ANALYTIC = "analytic"
 
 
 def _finite_value(value, x) -> float:
+    if np.ndim(value) != 0:
+        raise EvaluationError(f"objective returned shape {np.shape(value)}, "
+                              f"expected a scalar, at {x}", point=x)
     fv = float(value)
     if not np.isfinite(fv):
         raise NonFiniteError(f"objective returned non-finite value {fv} at {x}", point=x)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_count, check_nonnegative
+from .errors import ConfigError, check_count, check_nonnegative, check_seed
 from .evaluator import CoupledEvaluator, parallel_value_and_gradient
 from .stencil import CENTRAL, as_parameter_vector, validate_bounds
 
@@ -79,6 +79,7 @@ def check_gradient(objective, gradient, center, *, lower=None, upper=None,
         raise ConfigError("gradient check needs an analytic gradient")
     center = as_parameter_vector(center)
     points = check_count("points", points)
+    seed = check_seed(seed)
     spread = check_nonnegative("spread", spread)
     sampled = sample_feasible_points(center, points, seed, lower, upper, spread)
     ev = CoupledEvaluator(objective, center.size, scheme=CENTRAL,

@@ -115,9 +115,10 @@ def test_log_out_round_trips(tmp_path, capsys):
     ["bench", "--modes", "warpspeed", "--dims", "1", "--sleeps", "0"],
     ["optimize", "--problem", "quadratic", "--loginfo"],
     ["optimize", "--problem", "quadratic", "--workers", "0"],
+    ["gradcheck", "--problem", "quadratic", "--seed", "-1"],
 ], ids=["unknown-problem", "missing-problem", "bad-par0", "data-on-closed-form",
         "missing-data-file", "zero-maxit", "unknown-command", "unknown-flag",
-        "bad-bench-mode", "removed-loginfo", "zero-workers"])
+        "bad-bench-mode", "removed-loginfo", "zero-workers", "negative-seed"])
 def test_usage_errors_exit_2(argv, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 2

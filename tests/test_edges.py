@@ -1,5 +1,5 @@
-"""Every public entry point that takes a count, a duration or a named
-choice rules out the same bad values, with ConfigError, before any work
+"""Every public entry point that takes a count, a seed, a duration or a
+named choice rules out the same bad values, with ConfigError, before any work
 starts."""
 
 import math
@@ -34,9 +34,12 @@ EDGES = {
     "dataset sd inf": lambda: gen_normal_dataset(4, sd=math.inf),
     "dataset mean inf": lambda: gen_normal_dataset(4, mean=math.inf),
     "dataset mean nan": lambda: gen_normal_dataset(4, mean=math.nan),
+    "dataset seed -1": lambda: gen_normal_dataset(5, seed=-1),
+    "dataset seed 2.5": lambda: gen_normal_dataset(5, seed=2.5),
     "gradcheck points 0": lambda: check_gradient(sum_sq, sum_sq_grad, [1.0], points=0),
     "gradcheck spread nan": lambda: check_gradient(sum_sq, sum_sq_grad, [1.0],
                                                    spread=math.nan),
+    "gradcheck seed -1": lambda: check_gradient(sum_sq, sum_sq_grad, [1.0], seed=-1),
     "factr as text": lambda: optimize(sum_sq, [1.0], sum_sq_grad, factr="1e7"),
 }
 

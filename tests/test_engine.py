@@ -124,7 +124,7 @@ def _in_a_thread(fn):
 
 def test_close_while_the_tasks_are_listed_refuses_the_batch():
     # close() runs to the end while run_batch builds its task list, so the
-    # slot threads are gone before any chunk could be put
+    # slot threads are gone before the batch could ask them for help
     pool = WorkerPool(3)
 
     def tasks():
@@ -138,7 +138,7 @@ def test_close_while_the_tasks_are_listed_refuses_the_batch():
 
 
 def test_close_lets_a_submitted_batch_finish():
-    # chunk 0 closes the pool while chunks 1-2 wait or run on the slot threads
+    # one task closes the pool while the naps wait or run on the slot threads
     pool = WorkerPool(3)
 
     def nap(i):
@@ -218,7 +218,7 @@ def test_sleep_tasks_overlap():
 
 
 def test_concurrent_batches_overlap():
-    # any free slot thread takes the next chunk, so the second chunks of
+    # any free slot thread helps the next batch, so the second tasks of
     # four 2-task batches run side by side rather than one after another
     def nap():
         time.sleep(0.1)
@@ -233,7 +233,7 @@ def test_concurrent_batches_overlap():
         for caller in callers:
             caller.join()
         elapsed = time.perf_counter() - start
-    assert elapsed < 0.25  # one slot thread per second chunk would take >= 0.4
+    assert elapsed < 0.25  # one slot thread for every second task would take >= 0.4
 
 
 def test_interrupt_on_the_calling_thread_leaves_the_pool_usable():
@@ -252,6 +252,43 @@ def test_interrupt_on_the_calling_thread_leaves_the_pool_usable():
         with pytest.raises(KeyboardInterrupt):
             pool.run_batch([interrupt, nap(1), nap(2)])
         assert pool.run_batch([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+
+
+def test_a_free_slot_takes_the_next_task():
+    # the two naps hold both slots; whichever ends first runs the two quick
+    # tasks, where contiguous halves would queue a nap behind a nap
+    def nap(delay):
+        return lambda: time.sleep(delay)
+
+    with WorkerPool(2) as pool:
+        pool.run_batch([nap(0)] * 2)  # spin up the threads
+        start = time.perf_counter()
+        pool.run_batch([nap(0.1), nap(0.1), nap(0), nap(0)])
+        elapsed = time.perf_counter() - start
+    assert elapsed < 0.17  # a slot running both naps would take >= 0.2
+
+
+def test_slot_threads_run_the_tasks_an_interrupted_caller_left():
+    # the interrupt leaves run_batch at once, but the slot thread goes on
+    # taking tasks; the next batch's request for help queues behind it, so
+    # once that batch returns every recorder has run
+    ran = []
+    lock = threading.Lock()
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    def record(i):
+        def task():
+            with lock:
+                ran.append(i)
+        return task
+
+    with WorkerPool(2) as pool:
+        with pytest.raises(KeyboardInterrupt):
+            pool.run_batch([interrupt] + [record(i) for i in range(5)])
+        assert pool.run_batch([lambda i=i: i for i in range(3)]) == [0, 1, 2]
+    assert sorted(ran) == list(range(5))
 
 
 def test_batch_longer_than_the_pool_keeps_order_and_width():

@@ -374,16 +374,18 @@ def batch_centers(case):
 
 
 @pytest.mark.parametrize("where", ["start", "trial"])
-@pytest.mark.parametrize("fault", ["value", "gradient", "shape"])
+@pytest.mark.parametrize("fault", ["value", "gradient", "shape", "value-shape"])
 @settings(max_examples=5)
 @given(data=st.data())
 def test_each_evaluation_fault_has_one_outcome(fault, where, data):
-    # the objective returns NaN, or the gradient NaNs or one entry too many,
-    # at the point of the start's batch or of a later one (a trial); a
-    # difference gradient sees values only.  At the start every fault
-    # raises; at a trial a non-finite value or gradient closes the search's
-    # bracket and the run goes on, while a wrong shape still raises.
-    case = data.draw(drawn_solves(["analytic"] if fault != "value" else GRADIENT_KINDS))
+    # the objective returns NaN or a 1-element array, or the gradient NaNs
+    # or one entry too many, at the point of the start's batch or of a later
+    # one (a trial); a difference gradient sees values only.  At the start
+    # every fault raises; at a trial a non-finite value or gradient closes
+    # the search's bracket and the run goes on, while a wrong shape still
+    # raises.
+    value_fault = fault in ("value", "value-shape")
+    case = data.draw(drawn_solves(GRADIENT_KINDS if value_fault else ["analytic"]))
     centers = batch_centers(case)
     if where == "trial":
         assume(len(centers) > 1)
@@ -393,14 +395,16 @@ def test_each_evaluation_fault_has_one_outcome(fault, where, data):
         bad = centers[0].tobytes()
 
     def objective(x):
-        return math.nan if fault == "value" and x.tobytes() == bad else quartic(x)
+        if not value_fault or x.tobytes() != bad:
+            return quartic(x)
+        return math.nan if fault == "value" else np.array([quartic(x)])
 
     def gradient(x):
-        if fault == "value" or x.tobytes() != bad:
+        if value_fault or x.tobytes() != bad:
             return quartic_grad(x)
         return np.full(x.size + (fault == "shape"), math.nan)
 
-    if fault == "shape":
+    if fault in ("shape", "value-shape"):
         with pytest.raises(EvaluationError, match="shape") as err:
             solve_quartic(case, objective, gradient)
         assert not isinstance(err.value, NonFiniteError)
