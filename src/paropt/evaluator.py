@@ -6,7 +6,10 @@ same parameters is then served from the cache.  The cache holds only the
 most recent evaluation and is keyed on bitwise equality of the full parameter
 vector, so any change in any coordinate forces a fresh evaluation batch.
 The objective contract is checked here and only here: a finite scalar value,
-and a gradient of the parameters' shape with finite entries.
+and a gradient of the parameters' shape with finite entries.  Which array a
+task gets is decided here too: its own row of a fresh float64 matrix made at
+dispatch, a copy of its point as R passes arguments by value, which the task
+may write into.
 """
 
 from __future__ import annotations
@@ -36,25 +39,28 @@ def _finite_value(value, x) -> float:
 def evaluate_batch(pool, objective, points) -> list[float]:
     """Evaluate the objective at every point as one batch, in submission order.
 
-    `points` may be the rows of a matrix.  Raises NonFiniteError naming the
-    first point (in submission order) whose value is non-finite; the pool's
+    `points` are the rows of one matrix.  Each task gets its own row of a
+    fresh copy of it.  Raises NonFiniteError naming the first point (in
+    submission order, as passed in) whose value is non-finite; the pool's
     own policy passes on what the objective raises.
     """
-    pts = [np.asarray(pt, dtype=np.float64) for pt in points]
-    values = pool.run_batch([partial(objective, x) for x in pts])
+    pts = np.asarray(points, dtype=np.float64)
+    values = pool.run_batch([partial(objective, x) for x in np.array(pts)])
     return [_finite_value(v, x) for x, v in zip(pts, values)]
 
 
 def parallel_value_and_gradient(pool, objective, gradient, par):
     """Run objective(par) and gradient(par) as one batch of two tasks.
 
-    With two or more slots the elapsed time approaches the longer of the
-    two calls; results are identical to sequential execution.  Checks the
-    gradient's shape and the value's finiteness; the caller checks the
-    gradient's entries.
+    The two tasks get the two rows of one fresh matrix, each its own copy
+    of par.  With two or more slots the elapsed time approaches the longer
+    of the two calls; results are identical to sequential execution.
+    Checks the gradient's shape and the value's finiteness, naming par as
+    passed in; the caller checks the gradient's entries.
     """
     x = np.asarray(par, dtype=np.float64)
-    value, grad = pool.run_batch([partial(objective, x), partial(gradient, x)])
+    xf, xg = np.array([x, x])
+    value, grad = pool.run_batch([partial(objective, xf), partial(gradient, xg)])
     gv = np.asarray(grad, dtype=np.float64)
     if gv.shape != x.shape:
         raise EvaluationError(f"gradient returned shape {gv.shape}, expected {x.shape}", point=x)

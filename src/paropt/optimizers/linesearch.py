@@ -160,7 +160,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, *,
 
     def point(alpha):
         if cap is not None and alpha >= alpha_max:
-            return alpha_max, cap.copy()
+            return alpha_max, cap
         return alpha, np.clip(x0 + alpha * d, lower, upper)
 
     def trial(alpha, xt):

@@ -122,18 +122,15 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
         # Forward uses the plus side only; fall back to backward at a bound.
         h_minus = np.where(h_plus > 0.0, 0.0, h_minus)
 
-    rows = [x]
-    plus_index = np.zeros(p, dtype=np.intp)
-    minus_index = np.zeros(p, dtype=np.intp)
-    for i in range(p):
-        for step, index in ((h_plus[i], plus_index), (-h_minus[i], minus_index)):
-            if step != 0.0:
-                xs = x.copy()
-                xs[i] = min(max(x[i] + step, lo[i]), hi[i])  # rounding guard
-                index[i] = len(rows)
-                rows.append(xs)
-
-    return Stencil(np.array(rows), h_plus, h_minus, plus_index, minus_index)
+    # per coordinate, a plus then a minus row wherever that side's step is nonzero
+    steps = np.column_stack((h_plus, -h_minus)).ravel()
+    live = np.flatnonzero(steps)
+    rows, i = np.arange(1, live.size + 1), live // 2
+    points = np.tile(x, (live.size + 1, 1))
+    points[rows, i] = np.clip(x[i] + steps[live], lo[i], hi[i])  # rounding guard
+    index = np.zeros(2 * p, dtype=np.intp)
+    index[live] = rows
+    return Stencil(points, h_plus, h_minus, index[0::2], index[1::2])
 
 
 def assemble_gradient(values, stencil: Stencil) -> tuple[float, np.ndarray]:

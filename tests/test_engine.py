@@ -391,10 +391,17 @@ def test_evaluate_batch_flags_first_nonfinite_point():
     def obj(x):
         return float("nan") if x[0] > 0.25 else float(x[0])
 
-    with WorkerPool(2) as pool:
-        with pytest.raises(EvaluationError) as err:
-            evaluate_batch(pool, obj, [[0.1], [0.3], [0.5]])
-    assert err.value.point[0] == pytest.approx(0.3)
+    def writer(x):
+        value = obj(x)
+        x[0] = -1.0
+        return value
+
+    # the error names the point as passed in, not the task's copy it wrote to
+    for objective in (obj, writer):
+        with WorkerPool(2) as pool:
+            with pytest.raises(EvaluationError) as err:
+                evaluate_batch(pool, objective, [[0.1], [0.3], [0.5]])
+        assert err.value.point[0] == pytest.approx(0.3)
 
 
 def test_coupled_call_runs_each_function_once(counted):

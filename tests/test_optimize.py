@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import time
 
 import numpy as np
 import pytest
@@ -668,6 +669,45 @@ def test_boxed_lbfgsb_is_bitwise_the_same_on_1_and_3_workers(case, chained_rosen
                                                  lower=lower, upper=upper, pool=pool))
                 for pool in (one, three)]
     assert a == b
+
+
+def on_a_copy(f):
+    """f computed on a copy of its argument: the pure twin of a writer."""
+    return lambda x: f(np.array(x))
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("kind", ["analytic", "central"])
+@pytest.mark.parametrize("writer", ["objective", "gradient"])
+def test_a_task_writing_into_its_point_solves_as_its_pure_twin(writer, kind, size,
+                                                                chained_rosenbrock):
+    # each task gets its own copy of its point, as R passes arguments by value;
+    # the sleeps let the objective's write land while the gradient still runs
+    fn, gr = chained_rosenbrock
+
+    def objective(x):
+        time.sleep(0.002)
+        x[1] = abs(x[1])
+        return fn(x)
+
+    def gradient(x):
+        g = gr(x)
+        time.sleep(0.001)
+        return g
+
+    def gradient_in_place(x):
+        x[:] = gr(x)
+        return x
+
+    functions = (objective, gradient) if writer == "objective" else (fn, gradient_in_place)
+    start = [-1.2, -1.0, -1.2]
+    with WorkerPool(size) as pool, WorkerPool(1) as one:
+        r = solve_chained_rosenbrock(functions, start, kind, eps=1e-5, pool=pool)
+        pure = solve_chained_rosenbrock(tuple(map(on_a_copy, functions)), start, kind,
+                                        eps=1e-5, pool=one)
+    assert pure.code == 0
+    assert outcome(r) == outcome(pure)
+    assert r.par.tobytes() == r.log.rows[-1].par.tobytes()
 
 
 @pytest.mark.parametrize("upper", [np.full(10, 0.8), np.r_[0.5, np.full(9, np.inf)]],

@@ -35,15 +35,31 @@ def process_pool():
         yield ProcessPool(executor)
 
 
-def outcome(pool, gradient):
-    r = optimize(rosenbrock, [-1.2, 1.0, -1.2], gradient, pool=pool, eps=1e-5, loginfo=True)
+def rosenbrock_in_place(x):
+    """Rosenbrock after writing |x[1]| into its argument.  A process pool
+    hands each task a pickled copy of its point, so a solve on one slot
+    matches only when each task there gets its own copy too."""
+    x[1] = abs(x[1])
+    return rosenbrock(x)
+
+
+PLAIN = rosenbrock, [-1.2, 1.0, -1.2]
+# a negative x[1], so the in-place objective's write changes the point
+IN_PLACE = rosenbrock_in_place, [-1.2, -1.0, -1.2]
+
+
+def outcome(pool, problem, gradient):
+    objective, start = problem
+    r = optimize(objective, start, gradient, pool=pool, eps=1e-5, loginfo=True)
     return r.par.tobytes(), r.value, r.code, r.message, r.counts, r.log.to_csv()
 
 
-@pytest.mark.parametrize("gradient", [None, rosenbrock_gradient],
-                         ids=["central", "analytic"])
-def test_a_process_pool_solves_bitwise_as_one_slot(process_pool, gradient):
+@pytest.mark.parametrize("problem, gradient", [
+    (PLAIN, None), (PLAIN, rosenbrock_gradient),
+    (IN_PLACE, None), (IN_PLACE, rosenbrock_gradient),
+], ids=["central", "analytic", "in-place-central", "in-place-analytic"])
+def test_a_process_pool_solves_bitwise_as_one_slot(process_pool, problem, gradient):
     with WorkerPool(1) as pool:
-        expected = outcome(pool, gradient)
+        expected = outcome(pool, problem, gradient)
     assert expected[2] == 0
-    assert outcome(process_pool, gradient) == expected
+    assert outcome(process_pool, problem, gradient) == expected

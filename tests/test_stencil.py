@@ -187,6 +187,12 @@ def test_stencil_stays_in_the_box_in_contract_order(case):
     for i, row in sides:
         others = np.arange(center.size) != i
         assert np.array_equal(points[row][others], center[others])
+    # the moved coordinate, bitwise as the scalar reference computes it
+    for i in range(center.size):
+        for row, step in ((sten.plus_index[i], sten.h_plus[i]),
+                          (sten.minus_index[i], -sten.h_minus[i])):
+            if row != 0:
+                assert points[row][i] == min(max(center[i] + step, lower[i]), upper[i])
 
     calls = []
     ev = CoupledEvaluator(lambda x: calls.append(x) or float(np.sum(x)), center.size,
