@@ -73,10 +73,10 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRow]:
 
     One pool of `config.workers` slots, started before the first cell,
     serves every parallel mode; serial modes pass no pool, so each batch
-    runs on the calling thread.  Every repetition is one timed solve with no
-    warm-up, so a zero-sleep cell right after a sleeping one also times the
-    cold-cache wake-up in its first repetitions.  Rows come back in
-    mode-major order matching the configuration lists.
+    runs on the calling thread.  Every repetition is one timed solve.  A
+    zero-sleep cell, whose time is all orchestration, first solves once as
+    repetition 0 and drops that row, so that it does not time the cold caches
+    a sleeping cell leaves.  Rows come back in mode-major order.
     """
     config = config.validated()
     rows = []
@@ -90,16 +90,17 @@ def run_benchmark(config: BenchConfig, progress=None) -> list[BenchRow]:
                     gradient = problem.gradient if analytic else None
                     if progress is not None:
                         progress(f"bench {mode} p={p} sleep={sleep_s}")
-                    for rep in range(1, config.repetitions + 1):
+                    for rep in range(0 if sleep_s == 0.0 else 1, config.repetitions + 1):
                         start = time.perf_counter()
                         result = optimize(problem.objective, problem.par0, gradient,
                                           pool=pool, method=LBFGSB,
                                           maxit=config.iterations, scheme=scheme)
                         elapsed = time.perf_counter() - start
                         counts = result.counts
-                        rows.append(BenchRow(mode, p, sleep_s, rep,
-                                             elapsed / counts.batches,
-                                             counts.batches, counts.fn_calls))
+                        if rep:
+                            rows.append(BenchRow(mode, p, sleep_s, rep,
+                                                 elapsed / counts.batches,
+                                                 counts.batches, counts.fn_calls))
     return rows
 
 

@@ -14,6 +14,7 @@ may write into.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,6 +47,10 @@ def evaluate_batch(pool, objective, points) -> list[float]:
     """
     pts = np.asarray(points, dtype=np.float64)
     values = pool.run_batch([partial(objective, x) for x in np.array(pts)])
+    with suppress(Exception):  # a batch failing this pre-screen meets the per-value rule
+        vals = np.array(values)
+        if vals.dtype == np.float64 and vals.shape == (len(pts),) and np.isfinite(vals).all():
+            return vals.tolist()
     return [_finite_value(v, x) for x, v in zip(pts, values)]
 
 
@@ -162,6 +167,6 @@ class CoupledEvaluator:
             values = evaluate_batch(self.pool, self._objective, sten.points)
             value, grad = st.assemble_gradient(values, sten)
         # an analytic gradient, or a quotient of finite values that overflowed
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise NonFiniteError(f"gradient has non-finite entries {grad} at {x}", point=x)
         return value, grad

@@ -25,7 +25,7 @@ def projected_gradient(par, grad, lower, upper):
     Zero exactly when no feasible descent movement exists, including at
     active bounds, which makes it the stationarity measure for boxes.
     """
-    return par - np.clip(par - grad, lower, upper)
+    return par - (par - grad).clip(lower, upper)
 
 
 def active_mask(par, grad, lower, upper):
@@ -70,7 +70,7 @@ def optimize(objective, par0, gradient=None, *, pool=None,
                           scheme=opts.scheme, eps=opts.eps,
                           lower=opts.lower, upper=opts.upper, pool=pool)
     log = IterationLog(par.size) if opts.loginfo else None
-    return _minimize(ev, np.clip(par, ev.lower, ev.upper), opts, log)
+    return _minimize(ev, par.clip(ev.lower, ev.upper), opts, log)
 
 
 def _minimize(ev, par, opts, log):

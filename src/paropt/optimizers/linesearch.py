@@ -66,18 +66,13 @@ class LineSearchFailure(Exception):
 def max_feasible_step(x, d, lower, upper):
     """Largest alpha keeping x + alpha*d inside the box, with the exact
     boundary point reached there (None when the segment is unbounded)."""
-    steps = np.full(x.shape, np.inf)
-    pos = d > 0
-    neg = d < 0
-    steps[pos] = (upper[pos] - x[pos]) / d[pos]
-    steps[neg] = (lower[neg] - x[neg]) / d[neg]
-    alpha_max = float(steps.min()) if steps.size else np.inf
-    if not np.isfinite(alpha_max):
-        return np.inf, None
-    cap = np.clip(x + alpha_max * d, lower, upper)
-    binding = steps == alpha_max
-    cap[binding & pos] = upper[binding & pos]
-    cap[binding & neg] = lower[binding & neg]
+    face = np.where(d > 0.0, upper, lower)  # the bound each coordinate heads for
+    steps = np.divide(face - x, d, out=np.full(x.shape, np.inf), where=np.abs(d) > 0.0)
+    alpha_max = float(steps.min()) if steps.size else math.inf
+    if not math.isfinite(alpha_max):
+        return math.inf, None
+    cap = (x + alpha_max * d).clip(lower, upper)
+    np.copyto(cap, face, where=steps == alpha_max)
     return alpha_max, cap
 
 
@@ -161,7 +156,7 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, *,
     def point(alpha):
         if cap is not None and alpha >= alpha_max:
             return alpha_max, cap
-        return alpha, np.clip(x0 + alpha * d, lower, upper)
+        return alpha, (x0 + alpha * d).clip(lower, upper)
 
     def trial(alpha, xt):
         nonlocal trials

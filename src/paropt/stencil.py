@@ -55,7 +55,7 @@ def as_parameter_vector(values, dim: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected a 1-D parameter vector, got shape {par.shape}")
     if dim is not None and par.size != dim:
         raise DimensionError(f"parameter vector has length {par.size}, expected {dim}")
-    if not np.all(np.isfinite(par)):
+    if not np.isfinite(par).all():
         raise ConfigError(f"parameter vector contains non-finite entries: {par}")
     return par
 
@@ -73,7 +73,7 @@ def _per_coordinate(values, dim: int, name: str) -> np.ndarray:
 def validate_eps(eps, dim: int) -> np.ndarray:
     """Coerce the per-coordinate step to a positive vector of length dim."""
     arr = _per_coordinate(eps, dim, "eps")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not ((arr > 0.0) & (arr < np.inf)).all():  # False for a NaN too
         raise ConfigError(f"eps entries must be finite and > 0, got {arr}")
     return arr
 
@@ -82,9 +82,9 @@ def validate_bounds(lower, upper, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Coerce bounds to length-dim vectors, filling missing sides with +-inf."""
     lo = _per_coordinate(-np.inf if lower is None else lower, dim, "lower")
     hi = _per_coordinate(np.inf if upper is None else upper, dim, "upper")
-    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-        raise ConfigError("bounds must not contain NaN")
-    if np.any(lo > hi):
+    if not (lo <= hi).all():  # False for a NaN too
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ConfigError("bounds must not contain NaN")
         bad = int(np.argmax(lo > hi))
         raise ConfigError(
             f"inverted bounds at coordinate {bad}: lower={lo[bad]} > upper={hi[bad]}"
@@ -107,27 +107,26 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
     check_choice("difference scheme", scheme, SCHEMES)
     h = validate_eps(eps, p)
     lo, hi = validate_bounds(lower, upper, p)
-    if np.any(x < lo) or np.any(x > hi):
+    h_plus = np.minimum(h, hi - x)
+    h_minus = np.minimum(h, x - lo)
+    if not np.minimum(h_plus, h_minus).min() >= 0.0:  # a negative room: outside the box
         bad = int(np.argmax((x < lo) | (x > hi)))
         raise ConfigError(
             f"center outside bounds at coordinate {bad}: "
             f"{x[bad]} not in [{lo[bad]}, {hi[bad]}]"
         )
-
-    room_plus = hi - x
-    room_minus = x - lo
-    h_plus = np.minimum(h, room_plus)
-    h_minus = np.minimum(h, room_minus)
     if scheme == FORWARD:
         # Forward uses the plus side only; fall back to backward at a bound.
         h_minus = np.where(h_plus > 0.0, 0.0, h_minus)
 
     # per coordinate, a plus then a minus row wherever that side's step is nonzero
-    steps = np.column_stack((h_plus, -h_minus)).ravel()
-    live = np.flatnonzero(steps)
+    steps = np.empty(2 * p)
+    steps[0::2], steps[1::2] = h_plus, -h_minus
+    live = steps.nonzero()[0]
     rows, i = np.arange(1, live.size + 1), live // 2
-    points = np.tile(x, (live.size + 1, 1))
-    points[rows, i] = np.clip(x[i] + steps[live], lo[i], hi[i])  # rounding guard
+    points = np.empty((live.size + 1, p))
+    points[:] = x
+    points[rows, i] = (x[i] + steps[live]).clip(lo[i], hi[i])  # rounding guard
     index = np.zeros(2 * p, dtype=np.intp)
     index[live] = rows
     return Stencil(points, h_plus, h_minus, index[0::2], index[1::2])

@@ -1,11 +1,15 @@
 """Coupled evaluation, single-entry caching, and call-count laws."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from paropt import CoupledEvaluator, WorkerPool
 from paropt.errors import ConfigError, DimensionError, EvaluationError
-from paropt.evaluator import EvalCounts
+from paropt.evaluator import EvalCounts, _finite_value, evaluate_batch
 from paropt.stencil import FORWARD
 
 
@@ -146,3 +150,41 @@ def test_returned_gradient_is_a_copy():
     g = ev.gradient([1.0, 2.0])
     g[0] = 99.0
     assert ev.gradient([1.0, 2.0]).tolist() == [2.0, 4.0]
+
+
+# value kinds an objective may return, each as a function of a float
+KINDS = [float, lambda v: int(v * 8), lambda v: v > 0.5, np.float32, np.array, Fraction]
+
+
+def _batch(values):
+    """(points, objective) where the objective at point k returns values[k]."""
+    return [[float(k)] for k in range(len(values))], lambda x: values[int(x[0])]
+
+
+@given(hst.lists(hst.tuples(hst.sampled_from(range(len(KINDS))),
+                            hst.floats(-1e3, 1e3)), min_size=1, max_size=9))
+def test_evaluate_batch_returns_each_value_as_its_float(draws):
+    values = [KINDS[kind](v) for kind, v in draws]
+    points, objective = _batch(values)
+    got = evaluate_batch(WorkerPool(1), objective, points)
+    assert [type(v) for v in got] == [float] * len(values)
+    assert np.array(got).tobytes() == np.array([float(v) for v in values]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -np.inf, np.float32("inf"), None,
+                                 np.array([1.0]), 1 + 2j, np.array(1 + 2j), 10 ** 400],
+                         ids=repr)
+@pytest.mark.parametrize("k", [0, 3, 6])
+# as one array a 0-d complex would cast with a warning; the per-value rule raises
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_evaluate_batch_raises_the_per_value_rule_at_the_first_bad_value(bad, k):
+    values = [0.5, 2, True, np.float32(0.25), np.array(1.5), Fraction(1, 3), 7.0]
+    values[k] = bad
+    points, objective = _batch(values)
+    with pytest.raises(Exception) as want:
+        _finite_value(bad, np.array(points[k], dtype=np.float64))
+    with WorkerPool(3) as pool, pytest.raises(type(want.value)) as got:
+        evaluate_batch(pool, objective, points)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    if isinstance(want.value, EvaluationError):
+        assert got.value.point.tolist() == [float(k)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as hst
 
-from paropt import CoupledEvaluator
+from paropt import CoupledEvaluator, optimize
 from paropt.errors import ConfigError, DimensionError
 from paropt.stencil import (CENTRAL, FORWARD, SCHEMES, as_parameter_vector,
                             assemble_gradient, build_stencil, validate_bounds,
@@ -200,3 +200,101 @@ def test_stencil_stays_in_the_box_in_contract_order(case):
     ev.value_and_gradient(center)
     assert ev.counts().fn_calls == len(calls) == len(points)
     assert ev.counts().batches == 1
+
+
+def reference_stencil(x, eps, scheme, lower, upper):
+    """build_stencil's result, one coordinate and one side at a time."""
+    rows, p = [x.copy()], x.size
+    h_plus, h_minus = np.empty(p), np.empty(p)
+    plus_index, minus_index = np.zeros(p, dtype=np.intp), np.zeros(p, dtype=np.intp)
+    for i in range(p):
+        h_plus[i] = min(eps[i], upper[i] - x[i])
+        h_minus[i] = min(eps[i], x[i] - lower[i])
+        if scheme == FORWARD and h_plus[i] > 0.0:
+            h_minus[i] = 0.0
+        for step, index in ((h_plus[i], plus_index), (-h_minus[i], minus_index)):
+            if step != 0.0:
+                row = x.copy()  # the same rounding guard, on a one-entry array
+                row[i] = np.clip(x[i:i + 1] + step, lower[i:i + 1], upper[i:i + 1])[0]
+                rows.append(row)
+                index[i] = len(rows) - 1
+    return np.array(rows), h_plus, h_minus, plus_index, minus_index
+
+
+@hst.composite
+def boxed_stencil_cases(draw):
+    """(center, eps, scheme, lower, upper) with signed-zero bounds, centers on
+    a face and coordinates the box fixes among the draws."""
+    p = draw(hst.integers(1, 4))
+    x, lo, hi = [], [], []
+    for _ in range(p):
+        c = draw(hst.floats(-2.0, 2.0) | hst.sampled_from([0.0, -0.0, 1e-5, -1e-5]))
+        room = draw(ROOM)
+        below = [b for b in (-np.inf, c, c - room, 0.0, -0.0) if b <= c]
+        above = [b for b in (np.inf, c, c + room, 0.0, -0.0) if b >= c]
+        x.append(c)
+        lo.append(draw(hst.sampled_from(below)))
+        hi.append(draw(hst.sampled_from(above)))
+    eps = draw(hst.lists(hst.floats(1e-8, 1.0) | hst.just(1e-5), min_size=p, max_size=p))
+    return (np.array(x), np.array(eps), draw(hst.sampled_from(SCHEMES)),
+            np.array(lo), np.array(hi))
+
+
+@given(boxed_stencil_cases())
+# a point that lands on a signed-zero bound with the other sign
+@example((np.array([1e-5, -1e-5]), np.array([1e-5, 1e-5]), CENTRAL,
+          np.array([-0.0, -np.inf]), np.array([np.inf, -0.0])))
+def test_stencil_is_bitwise_the_per_coordinate_reference(case):
+    sten = build_stencil(*case)
+    got = (sten.points, sten.h_plus, sten.h_minus, sten.plus_index, sten.minus_index)
+    for a, b in zip(got, reference_stencil(*case)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def evaluator_at(center, eps=1e-3, lower=None, upper=None):
+    ev = CoupledEvaluator(lambda x: float(x @ x), len(center), eps=eps,
+                          lower=lower, upper=upper)
+    return ev.value(center)
+
+
+# (center, eps, lower, upper) -> the one message each input fault raises,
+# checked where it enters: build_stencil, an evaluator and, unless the center
+# lies outside the box (optimize moves a start into it), optimize
+FAULTS = [
+    (([0.5, 0.5], 1e-3, [np.nan, 0.0], None), "bounds must not contain NaN"),
+    (([0.5, 0.5], 1e-3, [0.0, 2.0], [np.nan, 1.0]), "bounds must not contain NaN"),
+    (([0.5, 0.5], 1e-3, [0.0, 2.0], [1.0, 1.0]),
+     "inverted bounds at coordinate 1: lower=2.0 > upper=1.0"),
+    (([0.5, 0.5], 1e-3, [2.0, 0.0], [1.0, -1.0]),
+     "inverted bounds at coordinate 0: lower=2.0 > upper=1.0"),
+    (([0.5, 0.5], [1e-3, np.nan], None, None),
+     "eps entries must be finite and > 0, got [0.001   nan]"),
+    (([0.5, 0.5], [np.inf, 1e-3], None, None),
+     "eps entries must be finite and > 0, got [  inf 0.001]"),
+    (([0.5, 0.5], [1e-3, 0.0], None, None),
+     "eps entries must be finite and > 0, got [0.001 0.   ]"),
+    (([0.5, 0.5], [-1e-3, 1e-3], None, None),
+     "eps entries must be finite and > 0, got [-0.001  0.001]"),
+    (([np.nan, 0.5], 1e-3, None, None),
+     "parameter vector contains non-finite entries: [nan 0.5]"),
+    (([0.5, -np.inf], 1e-3, None, None),
+     "parameter vector contains non-finite entries: [ 0.5 -inf]"),
+    (([0.5, 2.0, 3.0], 1e-3, None, [1.0, 1.0, 1.0]),
+     "center outside bounds at coordinate 1: 2.0 not in [-inf, 1.0]"),
+    (([0.5, 0.5, -3.0], 1e-3, [0.0, 0.5, -1.0], None),
+     "center outside bounds at coordinate 2: -3.0 not in [-1.0, inf]"),
+]
+
+
+@pytest.mark.parametrize("case, message", FAULTS)
+def test_each_input_fault_raises_its_own_message(case, message):
+    center, eps, lower, upper = case
+    entries = [lambda: build_stencil(np.array(center), eps, CENTRAL, lower, upper),
+               lambda: evaluator_at(center, eps, lower, upper)]
+    if not message.startswith("center outside"):
+        entries.append(lambda: optimize(lambda x: float(x @ x), center, eps=eps,
+                                        lower=lower, upper=upper))
+    for entry in entries:
+        with pytest.raises(ConfigError) as err:
+            entry()
+        assert str(err.value) == message
