@@ -6,15 +6,13 @@ same parameters is then served from the cache.  The cache holds only the
 most recent evaluation and is keyed on bitwise equality of the full parameter
 vector, so any change in any coordinate forces a fresh evaluation batch.
 The objective contract is checked here and only here: a finite scalar value,
-and a gradient of the parameters' shape with finite entries.  Which array a
-task gets is decided here too: its own row of a fresh float64 matrix made at
-dispatch, a copy of its point as R passes arguments by value, which the task
-may write into.
+and a gradient of the parameters' shape with finite entries.  Every batch
+reaches the pool through `_run_tasks`, which gives each task its own point.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -28,44 +26,48 @@ ANALYTIC = "analytic"
 
 
 def _finite_value(value, x) -> float:
-    if np.ndim(value) != 0:
+    if not isinstance(value, float) and np.ndim(value) != 0:
         raise EvaluationError(f"objective returned shape {np.shape(value)}, "
                               f"expected a scalar, at {x}", point=x)
     fv = float(value)
-    if not np.isfinite(fv):
+    if not math.isfinite(fv):
         raise NonFiniteError(f"objective returned non-finite value {fv} at {x}", point=x)
     return fv
+
+
+def _run_tasks(pool, functions, points) -> list:
+    """Run functions[i] on row i of one fresh float64 copy of the points, its
+    own to write into as R passes by value, all as one batch.  Returns the
+    results in submission order from any iterable the pool returns; raises
+    RuntimeError unless it returns exactly one result per task."""
+    tasks = [partial(f, row) for f, row in zip(functions, np.array(points, dtype=np.float64))]
+    results = list(pool.run_batch(tasks))
+    if len(results) != len(tasks):
+        raise RuntimeError(f"pool returned {len(results)} results for {len(tasks)} tasks")
+    return results
 
 
 def evaluate_batch(pool, objective, points) -> list[float]:
     """Evaluate the objective at every point as one batch, in submission order.
 
-    `points` are the rows of one matrix.  Each task gets its own row of a
-    fresh copy of it.  Raises NonFiniteError naming the first point (in
-    submission order, as passed in) whose value is non-finite; the pool's
-    own policy passes on what the objective raises.
+    `points` are the rows of one matrix.  Raises NonFiniteError naming the
+    first point (in submission order, as passed in) whose value is
+    non-finite; the pool's own policy passes on what the objective raises.
     """
     pts = np.asarray(points, dtype=np.float64)
-    values = pool.run_batch([partial(objective, x) for x in np.array(pts)])
-    with suppress(Exception):  # a batch failing this pre-screen meets the per-value rule
-        vals = np.array(values)
-        if vals.dtype == np.float64 and vals.shape == (len(pts),) and np.isfinite(vals).all():
-            return vals.tolist()
+    values = _run_tasks(pool, [objective] * len(pts), pts)
     return [_finite_value(v, x) for x, v in zip(pts, values)]
 
 
 def parallel_value_and_gradient(pool, objective, gradient, par):
     """Run objective(par) and gradient(par) as one batch of two tasks.
 
-    The two tasks get the two rows of one fresh matrix, each its own copy
-    of par.  With two or more slots the elapsed time approaches the longer
-    of the two calls; results are identical to sequential execution.
-    Checks the gradient's shape and the value's finiteness, naming par as
-    passed in; the caller checks the gradient's entries.
+    With two or more slots the elapsed time approaches the longer call, and
+    results match sequential execution.  Checks the gradient's shape and the
+    value's finiteness, naming par as passed in; the caller checks its entries.
     """
     x = np.asarray(par, dtype=np.float64)
-    xf, xg = np.array([x, x])
-    value, grad = pool.run_batch([partial(objective, xf), partial(gradient, xg)])
+    value, grad = _run_tasks(pool, (objective, gradient), (x, x))
     gv = np.asarray(grad, dtype=np.float64)
     if gv.shape != x.shape:
         raise EvaluationError(f"gradient returned shape {gv.shape}, expected {x.shape}", point=x)
@@ -121,13 +123,9 @@ class CoupledEvaluator:
         self.eps = st.validate_eps(eps, self.dim)
         self.lower, self.upper = st.validate_bounds(lower, upper, self.dim)
         self.pool = pool if pool is not None else WorkerPool(1)
-        self._fn_calls = 0
-        self._gr_calls = 0
-        self._batches = 0
+        self._fn_calls = self._batches = 0
         # the last evaluation, keyed on the bytes of its parameter vector
         self._key = self._value = self._grad = None
-
-    # -- evaluation --------------------------------------------------------
 
     def value_and_gradient(self, par) -> tuple[float, np.ndarray]:
         """Objective value and gradient at par, from cache or one fresh batch."""
@@ -147,16 +145,15 @@ class CoupledEvaluator:
         return self.value_and_gradient(par)[1]
 
     def counts(self) -> EvalCounts:
-        """Snapshot of the evaluation counters."""
-        return EvalCounts(self._fn_calls, self._gr_calls, self._batches)
-
-    # -- internals ----------------------------------------------------------
+        """Snapshot of the evaluation counters; each analytic batch calls gr once."""
+        gr_calls = self._batches if self.mode == ANALYTIC else 0
+        return EvalCounts(self._fn_calls, gr_calls, self._batches)
 
     def _evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.mode == ANALYTIC:
+            st.check_inside(x, self.lower, self.upper)
             self._batches += 1
             self._fn_calls += 1
-            self._gr_calls += 1
             value, grad = parallel_value_and_gradient(
                 self.pool, self._objective, self._gradient, x
             )

@@ -92,6 +92,14 @@ def validate_bounds(lower, upper, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def check_inside(x, lo, hi) -> None:
+    """Raise ConfigError naming the first coordinate of x outside [lo, hi]."""
+    if not ((lo <= x) & (x <= hi)).all():
+        bad = int(np.argmax((x < lo) | (x > hi)))
+        raise ConfigError(f"center outside bounds at coordinate {bad}: "
+                          f"{x[bad]} not in [{lo[bad]}, {hi[bad]}]")
+
+
 def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) -> Stencil:
     """Build the evaluation stencil for a difference-quotient gradient.
 
@@ -107,14 +115,9 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
     check_choice("difference scheme", scheme, SCHEMES)
     h = validate_eps(eps, p)
     lo, hi = validate_bounds(lower, upper, p)
+    check_inside(x, lo, hi)
     h_plus = np.minimum(h, hi - x)
     h_minus = np.minimum(h, x - lo)
-    if not np.minimum(h_plus, h_minus).min() >= 0.0:  # a negative room: outside the box
-        bad = int(np.argmax((x < lo) | (x > hi)))
-        raise ConfigError(
-            f"center outside bounds at coordinate {bad}: "
-            f"{x[bad]} not in [{lo[bad]}, {hi[bad]}]"
-        )
     if scheme == FORWARD:
         # Forward uses the plus side only; fall back to backward at a bound.
         h_minus = np.where(h_plus > 0.0, 0.0, h_minus)

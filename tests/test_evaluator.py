@@ -1,5 +1,6 @@
 """Coupled evaluation, single-entry caching, and call-count laws."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from paropt import CoupledEvaluator, WorkerPool
+from paropt import CoupledEvaluator, WorkerPool, optimize
 from paropt.errors import ConfigError, DimensionError, EvaluationError
-from paropt.evaluator import EvalCounts, _finite_value, evaluate_batch
+from paropt.evaluator import (EvalCounts, _finite_value, evaluate_batch,
+                               parallel_value_and_gradient)
 from paropt.stencil import FORWARD
 
 
@@ -152,8 +154,13 @@ def test_returned_gradient_is_a_copy():
     assert ev.gradient([1.0, 2.0]).tolist() == [2.0, 4.0]
 
 
+class FloatSubclass(float):
+    pass
+
+
 # value kinds an objective may return, each as a function of a float
-KINDS = [float, lambda v: int(v * 8), lambda v: v > 0.5, np.float32, np.array, Fraction]
+KINDS = [float, lambda v: int(v * 8), lambda v: v > 0.5, np.float32, np.array, Fraction,
+         np.float64, FloatSubclass]
 
 
 def _batch(values):
@@ -172,11 +179,10 @@ def test_evaluate_batch_returns_each_value_as_its_float(draws):
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -np.inf, np.float32("inf"), None,
-                                 np.array([1.0]), 1 + 2j, np.array(1 + 2j), 10 ** 400],
+                                 np.array([1.0]), np.ones((1, 1)), 1 + 2j, np.array(1 + 2j),
+                                 10 ** 400],
                          ids=repr)
 @pytest.mark.parametrize("k", [0, 3, 6])
-# as one array a 0-d complex would cast with a warning; the per-value rule raises
-@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
 def test_evaluate_batch_raises_the_per_value_rule_at_the_first_bad_value(bad, k):
     values = [0.5, 2, True, np.float32(0.25), np.array(1.5), Fraction(1, 3), 7.0]
     values[k] = bad
@@ -188,3 +194,57 @@ def test_evaluate_batch_raises_the_per_value_rule_at_the_first_bad_value(bad, k)
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
     if isinstance(want.value, EvaluationError):
         assert got.value.point.tolist() == [float(k)]
+
+
+class MiscountingPool:
+    """Runs every task, then returns `extra` results more (or, below 0, fewer)
+    than there were tasks."""
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def run_batch(self, tasks):
+        results = [task() for task in tasks]
+        return results + results[:self.extra] if self.extra > 0 else results[:self.extra]
+
+
+def _solve(gradient):
+    return lambda pool: optimize(sum_sq, [1.0, 2.0], gradient, pool=pool)
+
+
+# entry -> how many tasks its first batch holds
+ANSWER_ENTRIES = {
+    "central-solve": (_solve(None), 5),
+    "analytic-solve": (_solve(sum_sq_grad), 2),
+    "evaluate_batch": (lambda pool: evaluate_batch(pool, sum_sq, [[0.0], [1.0], [2.0]]), 3),
+    "parallel_value_and_gradient":
+        (lambda pool: parallel_value_and_gradient(pool, sum_sq, sum_sq_grad, [1.0, 2.0]), 2),
+}
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-short"])
+@pytest.mark.parametrize("entry", ANSWER_ENTRIES)
+def test_a_pool_must_return_one_result_per_task(entry, extra):
+    run, tasks = ANSWER_ENTRIES[entry]
+    want = f"pool returned {tasks + extra} results for {tasks} tasks"
+    with pytest.raises(RuntimeError, match=re.escape(want)):
+        run(MiscountingPool(extra))
+
+
+class GeneratorPool:
+    """Hands the results back as a generator, in submission order."""
+
+    def run_batch(self, tasks):
+        return (task() for task in tasks)
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["central", "analytic"])
+def test_a_pool_may_return_any_iterable(analytic, chained_rosenbrock):
+    fn, gr = chained_rosenbrock
+
+    def outcome(pool):
+        r = optimize(fn, [-1.2, 1.0, -1.2], gr if analytic else None, pool=pool,
+                     eps=1e-5, loginfo=True)
+        return r.par.tobytes(), r.value, r.code, r.counts, r.log.to_csv()
+
+    assert outcome(GeneratorPool()) == outcome(WorkerPool(1))

@@ -251,15 +251,16 @@ def test_stencil_is_bitwise_the_per_coordinate_reference(case):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def evaluator_at(center, eps=1e-3, lower=None, upper=None):
-    ev = CoupledEvaluator(lambda x: float(x @ x), len(center), eps=eps,
+def evaluator_at(center, eps=1e-3, lower=None, upper=None, gradient=None):
+    ev = CoupledEvaluator(lambda x: float(x @ x), len(center), gradient=gradient, eps=eps,
                           lower=lower, upper=upper)
     return ev.value(center)
 
 
 # (center, eps, lower, upper) -> the one message each input fault raises,
-# checked where it enters: build_stencil, an evaluator and, unless the center
-# lies outside the box (optimize moves a start into it), optimize
+# checked where it enters: build_stencil, an evaluator of each gradient kind
+# and, unless the center lies outside the box (optimize moves a start into
+# it), optimize
 FAULTS = [
     (([0.5, 0.5], 1e-3, [np.nan, 0.0], None), "bounds must not contain NaN"),
     (([0.5, 0.5], 1e-3, [0.0, 2.0], [np.nan, 1.0]), "bounds must not contain NaN"),
@@ -290,7 +291,8 @@ FAULTS = [
 def test_each_input_fault_raises_its_own_message(case, message):
     center, eps, lower, upper = case
     entries = [lambda: build_stencil(np.array(center), eps, CENTRAL, lower, upper),
-               lambda: evaluator_at(center, eps, lower, upper)]
+               lambda: evaluator_at(center, eps, lower, upper),
+               lambda: evaluator_at(center, eps, lower, upper, gradient=lambda x: 2 * x)]
     if not message.startswith("center outside"):
         entries.append(lambda: optimize(lambda x: float(x @ x), center, eps=eps,
                                         lower=lower, upper=upper))
