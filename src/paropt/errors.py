@@ -36,17 +36,11 @@ class DatasetError(ValueError):
     """A dataset file could not be parsed."""
 
 
-def check_count(name, value) -> int:
-    """`value` as an int when it is an integral number >= 1, else ConfigError."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def check_seed(value) -> int:
-    """`value` as an int when it is an integral number >= 0, else ConfigError."""
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {value!r}")
+def check_count(name, value, least=1) -> int:
+    """`value` as an int when it is an integral number >= `least`, else
+    ConfigError."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

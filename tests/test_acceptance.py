@@ -32,6 +32,16 @@ def quad_grad(x):
     return 2.0 * x
 
 
+@pytest.fixture(scope="module")
+def approx_grid():
+    """The paper's stencil-timing grid, p = 1-3 by sleeps 0, 0.1 and 0.2 s,
+    run once for the tests that read it: its config and its rows."""
+    cfg = BenchConfig(dims=(1, 2, 3), sleeps=(0.0, 0.1, 0.2),
+                      modes=("serial_approx", "parallel_approx"),
+                      repetitions=3, iterations=5, workers=7)
+    return cfg, run_benchmark(cfg)
+
+
 def identical(a, b):
     return (a.par.tobytes() == b.par.tobytes() and a.value == b.value
             and a.counts == b.counts)
@@ -151,12 +161,10 @@ def test_analytic_speedup_factor_two():
           f"parallel {statistics.fmean(parallel):.3f}s per iteration)")
 
 
-def test_approx_speedup_scales_with_dimension():
+def test_approx_speedup_scales_with_dimension(approx_grid):
     """Parallel stencils hide the factor 1+2p that serial runs pay."""
-    cfg = BenchConfig(dims=(3,), sleeps=(0.2,),
-                      modes=("serial_approx", "parallel_approx"),
-                      repetitions=3, iterations=5, workers=7)
-    rows = run_benchmark(cfg)
+    _, grid = approx_grid
+    rows = [r for r in grid if r.p == 3 and r.sleep_s == 0.2]
     serial = [r.elapsed_per_iter_s for r in rows if r.mode == "serial_approx"]
     parallel = [r.elapsed_per_iter_s for r in rows if r.mode == "parallel_approx"]
     for t in serial:
@@ -226,12 +234,9 @@ def test_iteration_log_contract():
     print(f"PASS iteration log contract holds over {len(log)} rows")
 
 
-def test_bench_grid_flatness():
+def test_bench_grid_flatness(approx_grid):
     """Parallel stencil timing is flat in p; serial scales like 1+2p."""
-    cfg = BenchConfig(dims=(1, 2, 3), sleeps=(0.0, 0.1, 0.2),
-                      modes=("serial_approx", "parallel_approx"),
-                      repetitions=3, iterations=5, workers=7)
-    rows = run_benchmark(cfg)
+    cfg, rows = approx_grid
 
     def cell_mean(mode, p, sleep_s):
         picked = [r.elapsed_per_iter_s for r in rows

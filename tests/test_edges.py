@@ -12,13 +12,7 @@ from paropt import (BenchConfig, ConfigError, CoupledEvaluator, IterationLog,
                     optimize, sleep_problem)
 from paropt.cli import main
 
-
-def sum_sq(x):
-    return float(np.dot(x, x))
-
-
-def sum_sq_grad(x):
-    return 2.0 * np.asarray(x, dtype=np.float64)
+from objectives import sum_sq, sum_sq_grad
 
 
 EDGES = {

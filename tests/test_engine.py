@@ -88,6 +88,29 @@ def test_interrupt_propagates_past_an_earlier_error(size):
         assert pool.run_batch([lambda: 1, lambda: 2]) == [1, 2]
 
 
+def test_slot_thread_interrupt_goes_ahead_after_the_batch():
+    # whichever task the slot thread takes raises KeyboardInterrupt there; the
+    # caller's task waits for that, then fails, so the slot's report must
+    # carry the interrupt past the caller's held Exception
+    caller = threading.get_ident()
+    interrupted = threading.Event()
+    ran_on_caller = []
+
+    def task():
+        if threading.get_ident() != caller:
+            interrupted.set()
+            raise KeyboardInterrupt
+        ran_on_caller.append(True)
+        interrupted.wait(5.0)
+        raise RuntimeError("ordinary failure")
+
+    with WorkerPool(2) as pool:
+        with pytest.raises(KeyboardInterrupt):
+            pool.run_batch([task, task])
+        assert ran_on_caller == [True]
+        assert pool.run_batch([lambda: 1, lambda: 2]) == [1, 2]
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_closed_pool_refuses_batches(size):
     ran = []

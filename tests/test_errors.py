@@ -1,4 +1,5 @@
-"""The input rules: a count, a finite non-negative real and a named choice."""
+"""The input rules: a count (>= 1, or >= 0 for a seed), a finite
+non-negative real and a named choice."""
 
 import math
 from fractions import Fraction
@@ -19,6 +20,17 @@ def test_count_accepts_integral_numbers_as_int(value):
 def test_count_rejects_everything_else(value):
     with pytest.raises(ConfigError, match="n must be an integer >= 1"):
         check_count("n", value)
+
+
+def test_count_with_least_zero_accepts_zero():
+    got = check_count("seed", 0, least=0)
+    assert type(got) is int and got == 0
+
+
+def test_count_with_least_zero_rejects_minus_one():
+    with pytest.raises(ConfigError) as info:
+        check_count("seed", -1, least=0)
+    assert str(info.value) == "seed must be an integer >= 0, got -1"
 
 
 @pytest.mark.parametrize("value", [0, 0.0, 0.25, 5, np.float32(0.5), Fraction(1, 4), 1e308])

@@ -14,13 +14,7 @@ from paropt.evaluator import (EvalCounts, _finite_value, evaluate_batch,
                                parallel_value_and_gradient)
 from paropt.stencil import FORWARD
 
-
-def sum_sq(x):
-    return float(np.dot(x, x))
-
-
-def sum_sq_grad(x):
-    return 2.0 * np.asarray(x, dtype=np.float64)
+from objectives import rosen, sum_sq, sum_sq_grad
 
 
 def test_value_then_gradient_is_one_batch(counted):
@@ -133,9 +127,6 @@ def test_bad_configuration_rejected():
 
 
 def test_results_identical_across_pool_sizes():
-    def rosen(v):
-        return float(100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2)
-
     x = np.array([-1.2, 1.0])
     outs = []
     for size in (1, 4):

@@ -8,13 +8,7 @@ from paropt.errors import ConfigError, EvaluationError
 from paropt.gradcheck import sample_feasible_points
 from paropt.problems import normal_negll_problem
 
-
-def sum_sq(x):
-    return float(np.dot(x, x))
-
-
-def sum_sq_grad(x):
-    return 2.0 * np.asarray(x, dtype=np.float64)
+from objectives import sum_sq, sum_sq_grad
 
 
 def test_tolerance_floor_and_relative_scale():
