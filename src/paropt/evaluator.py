@@ -107,6 +107,7 @@ class CoupledEvaluator:
         Per-coordinate finite-difference step, > 0.
     lower, upper : array_like, optional
         Box bounds; stencil steps are clamped so no point leaves the box.
+        `has_box` records, once, whether any bound is finite.
     pool : object with run_batch(tasks), optional
         Runs each batch, as a WorkerPool does.  Defaults to a one-slot
         pool, which runs each batch on the calling thread and starts no
@@ -122,6 +123,8 @@ class CoupledEvaluator:
             "difference scheme", scheme, st.SCHEMES)
         self.eps = st.validate_eps(eps, self.dim)
         self.lower, self.upper = st.validate_bounds(lower, upper, self.dim)
+        # without a finite bound every in-box check, mask, cap and clip is a no-op
+        self.has_box = bool(np.isfinite(self.lower).any() or np.isfinite(self.upper).any())
         self.pool = pool if pool is not None else WorkerPool(1)
         self._fn_calls = self._batches = 0
         # the last evaluation, keyed on the bytes of its parameter vector
@@ -151,7 +154,8 @@ class CoupledEvaluator:
 
     def _evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.mode == ANALYTIC:
-            st.check_inside(x, self.lower, self.upper)
+            if self.has_box:
+                st.check_inside(x, self.lower, self.upper)
             self._batches += 1
             self._fn_calls += 1
             value, grad = parallel_value_and_gradient(

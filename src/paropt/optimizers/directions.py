@@ -18,6 +18,7 @@ class LbfgsHistory:
     def __init__(self, memory: int):
         self.memory = check_count("memory", memory)
         self._pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+        self._gamma = 1.0  # s.y / y.y of the newest pair
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -30,16 +31,14 @@ class LbfgsHistory:
         if sy <= 0.0:
             return False
         self._pairs.append((s.copy(), y.copy(), 1.0 / sy))
+        self._gamma = float(sy / np.dot(y, y))
         if len(self._pairs) > self.memory:
             self._pairs.pop(0)
         return True
 
     def gamma(self) -> float:
         """Initial inverse-Hessian scaling s.y / y.y from the newest pair."""
-        if not self._pairs:
-            return 1.0
-        s, y, _ = self._pairs[-1]
-        return float(np.dot(s, y) / np.dot(y, y))
+        return self._gamma
 
     def direction(self, grad) -> np.ndarray:
         """Two-loop recursion: the quasi-Newton descent direction -H @ grad.

@@ -105,7 +105,9 @@ def _minimize(ev, par, opts, log):
             drop_memory = False
         steepest = len(history) == 0 and hessian is None and prev_d is None
 
-        if method == LBFGSB:
+        if method == LBFGSB and not ev.has_box:
+            d = history.direction(g)  # plain L-BFGS: no bound to pin against
+        elif method == LBFGSB:
             mask = active_mask(par, g, lower, upper)
             d = history.direction(np.where(mask, 0.0, g))
             # also pin free coordinates on a bound face where d points out of

@@ -147,7 +147,9 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, *,
     if not 0.0 < initial_step < math.inf:
         raise ValueError(f"initial_step must be finite and > 0, got {initial_step!r}")
 
-    alpha_max, cap = max_feasible_step(x0, d, lower, upper)
+    # without a box the segment is unbounded and no trial needs a clip
+    boxed = evaluator.has_box
+    alpha_max, cap = max_feasible_step(x0, d, lower, upper) if boxed else (math.inf, None)
     if alpha_max <= 0.0:
         raise ValueError("no feasible movement along the search direction")
 
@@ -156,7 +158,8 @@ def wolfe_line_search(evaluator, x0, f0, g0, d, *,
     def point(alpha):
         if cap is not None and alpha >= alpha_max:
             return alpha_max, cap
-        return alpha, (x0 + alpha * d).clip(lower, upper)
+        xt = x0 + alpha * d
+        return alpha, xt.clip(lower, upper) if boxed else xt
 
     def trial(alpha, xt):
         nonlocal trials

@@ -20,10 +20,11 @@ def test_sleep_problem_arithmetic():
 
 def test_sleep_problem_stalls_each_call():
     prob = sleep_problem(1, 0.2)
-    start = time.perf_counter()
-    prob.objective(np.array([0.1]))
-    elapsed = time.perf_counter() - start
-    assert 0.2 <= elapsed < 0.35
+    for call in (prob.objective, prob.gradient):
+        start = time.perf_counter()
+        call(np.array([0.1]))
+        elapsed = time.perf_counter() - start
+        assert 0.2 <= elapsed < 0.35
 
 
 def test_sleep_problem_validation():

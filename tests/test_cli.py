@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -19,6 +20,17 @@ def run_cli(argv, capsys):
 def run_json(argv, capsys):
     code, out, err = run_cli(argv + ["--json"], capsys)
     return code, json.loads(out), err
+
+
+@pytest.mark.parametrize("argv, code", [(["problems"], 0), (["optimize"], 2)],
+                         ids=["problems", "usage-error"])
+def test_console_script_exits_with_mains_code(monkeypatch, capsys, argv, code):
+    # the installed `paropt` command reads sys.argv and exits with main's code
+    monkeypatch.setattr(sys, "argv", ["paropt"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == code
+    capsys.readouterr()
 
 
 def test_problems_listing(capsys):

@@ -62,6 +62,24 @@ def test_gamma_uses_newest_pair():
     h.update([0.0, 1.0], [0.0, 4.0])
     assert h.gamma() == 0.25
 
+    def gamma_of(s, y):
+        return float(np.dot(s, y) / np.dot(y, y))
+
+    # a skipped pair (s.y <= 0) leaves gamma at the newest kept pair
+    rng = np.random.default_rng(3)
+    steps = rng.normal(size=(3, 4))
+    pairs = [(s, s * rng.uniform(0.3, 3.0, 4)) for s in steps]  # each s.y > 0
+    h = LbfgsHistory(2)
+    assert h.update(*pairs[0])
+    assert not h.update(pairs[0][0], -pairs[0][1])
+    assert h.gamma() == gamma_of(*pairs[0])
+    # with memory 2 the third pair evicts the first
+    assert h.update(*pairs[1]) and h.update(*pairs[2])
+    assert len(h) == 2
+    assert h.gamma() == gamma_of(*pairs[2])
+    assert not h.update(-pairs[2][0], pairs[2][1])
+    assert h.gamma() == gamma_of(*pairs[2])
+
 
 def test_bfgs_update_satisfies_secant_and_symmetry():
     s = np.array([0.5, 1.0, -0.25])

@@ -30,6 +30,11 @@ def test_results_keep_submission_order():
     assert out == [0, 1, 2, 3]
 
 
+def test_repr_names_the_size():
+    with WorkerPool(3) as pool:
+        assert repr(pool) == "WorkerPool(size=3)"
+
+
 def test_size_one_runs_inline():
     with WorkerPool(1) as pool:
         seen = pool.run_batch([threading.get_ident])

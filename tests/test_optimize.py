@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from paropt import (ConfigError, CoupledEvaluator, EvaluationError, IterationLog,
-                    OptimOptions, WorkerPool, build_stencil, optimize)
+                    OptimOptions, WorkerPool, build_stencil, optimize, stencil)
 from paropt.errors import NonFiniteError
-from paropt.optimizers import LineSearchFailure, cg_direction, driver, wolfe_line_search
+from paropt.optimizers import (LineSearchFailure, cg_direction, driver, linesearch,
+                               wolfe_line_search)
 
 from objectives import rosen, rosen_grad, sum_sq, sum_sq_grad
 
@@ -653,6 +654,44 @@ def test_boxed_lbfgsb_is_bitwise_the_same_on_1_and_3_workers(case, chained_rosen
                                                  lower=lower, upper=upper, pool=pool))
                 for pool in (one, three)]
     assert a == b
+
+
+@settings(max_examples=6, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.sampled_from([2, 3, 10]), kind=st.sampled_from(["analytic", "central"]),
+       seed=st.integers(0, 2**16))
+def test_a_box_that_never_binds_solves_bitwise_as_no_box(dim, kind, seed, chained_rosenbrock,
+                                                         rosenbrock_starts):
+    # a solve without a finite bound skips the box arithmetic; one whose box
+    # never binds runs it, and the two must agree to the bit
+    start = rosenbrock_starts(dim, 1, seed)[0]
+    wide = {"lower": start - 1e6, "upper": start + 1e6}
+    with WorkerPool(1) as one, WorkerPool(3) as three:
+        runs = [outcome(solve_chained_rosenbrock(chained_rosenbrock, start, kind, eps=1e-5,
+                                                 pool=pool, **box))
+                for pool in (one, three) for box in ({}, wide)]
+    assert all(run == runs[0] for run in runs[1:])
+
+
+BOX_STEPS = [(driver, "active_mask"), (linesearch, "max_feasible_step"),
+             (stencil, "check_inside")]
+
+
+@pytest.mark.parametrize("box", [{}, {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]}],
+                         ids=["unbounded", "bounded"])
+def test_only_a_solve_with_a_box_runs_the_box_arithmetic(monkeypatch, box):
+    # analytic, since build_stencil checks its center on every batch, box or not
+    calls = dict.fromkeys([name for _, name in BOX_STEPS], 0)
+    for module, name in BOX_STEPS:
+        def counting(*args, _step=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(module, name, counting)
+    r = optimize(rosen, [-1.2, 1.0], rosen_grad, **box)
+    assert r.converged
+    if box:
+        assert all(calls.values()), calls
+    else:
+        assert not any(calls.values()), calls
 
 
 def on_a_copy(f):
