@@ -153,9 +153,10 @@ class CoupledEvaluator:
         return EvalCounts(self._fn_calls, gr_calls, self._batches)
 
     def _evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        # unbounded, as_parameter_vector has refused every point this could fail
+        if self.has_box:
+            st.check_inside(x, self.lower, self.upper)
         if self.mode == ANALYTIC:
-            if self.has_box:
-                st.check_inside(x, self.lower, self.upper)
             self._batches += 1
             self._fn_calls += 1
             value, grad = parallel_value_and_gradient(

@@ -5,6 +5,8 @@ be evaluated to produce both its value and a difference-quotient gradient
 at a center point.  Construction clamps steps so every point stays inside
 box bounds; assembly reads the evaluated values back through two index
 vectors, one row per coordinate and side, into a gradient.
+Both are kernels over `CoupledEvaluator`'s validated arrays and check
+nothing; the evaluator checks each input once with the checks defined here.
 
 Row order is fixed: the center first, then per coordinate in ascending
 order, the plus row before the minus row.  Evaluation counts and error
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, check_choice
+from .errors import ConfigError, DimensionError
 
 CENTRAL = "central"
 FORWARD = "forward"
@@ -100,9 +102,11 @@ def check_inside(x, lo, hi) -> None:
                           f"{x[bad]} not in [{lo[bad]}, {hi[bad]}]")
 
 
-def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) -> Stencil:
+def build_stencil(x, eps, scheme, lower, upper) -> Stencil:
     """Build the evaluation stencil for a difference-quotient gradient.
 
+    `x`, `eps`, `lower` and `upper` are float64 length-p vectors, x inside
+    the box, and `scheme` one of SCHEMES, as `CoupledEvaluator` holds them.
     Away from bounds a central stencil holds 1+2p points and a forward
     stencil 1+p.  Near a bound the step on the violating side is clamped to
     the remaining room (capped at eps); a side clamped to zero drops its
@@ -110,14 +114,9 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
     other side.  A coordinate with no room on either side (lower == upper)
     gets no point, and its quotient is 0.0.
     """
-    x = as_parameter_vector(center)
     p = x.size
-    check_choice("difference scheme", scheme, SCHEMES)
-    h = validate_eps(eps, p)
-    lo, hi = validate_bounds(lower, upper, p)
-    check_inside(x, lo, hi)
-    h_plus = np.minimum(h, hi - x)
-    h_minus = np.minimum(h, x - lo)
+    h_plus = np.minimum(eps, upper - x)
+    h_minus = np.minimum(eps, x - lower)
     if scheme == FORWARD:
         # Forward uses the plus side only; fall back to backward at a bound.
         h_minus = np.where(h_plus > 0.0, 0.0, h_minus)
@@ -129,7 +128,7 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
     rows, i = np.arange(1, live.size + 1), live // 2
     points = np.empty((live.size + 1, p))
     points[:] = x
-    points[rows, i] = (x[i] + steps[live]).clip(lo[i], hi[i])  # rounding guard
+    points[rows, i] = (x[i] + steps[live]).clip(lower[i], upper[i])  # rounding guard
     index = np.zeros(2 * p, dtype=np.intp)
     index[live] = rows
     return Stencil(points, h_plus, h_minus, index[0::2], index[1::2])
@@ -138,15 +137,10 @@ def build_stencil(center, eps, scheme: str = CENTRAL, lower=None, upper=None) ->
 def assemble_gradient(values, stencil: Stencil) -> tuple[float, np.ndarray]:
     """Turn stencil-point objective values into (center value, gradient).
 
-    `values` must align with the rows of `stencil.points`.  The center
-    value is returned alongside the gradient so the caller can cache it.
+    `values` holds one value per row of `stencil.points`, as the evaluator's
+    batch returns them.  The center value is returned for the cache.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if vals.shape != (len(stencil.points),):
-        raise DimensionError(
-            f"got {vals.shape[0] if vals.ndim == 1 else vals.shape} values "
-            f"for a stencil of {len(stencil.points)} points"
-        )
     denom = stencil.h_plus + stencil.h_minus
     denom[denom == 0.0] = np.inf  # a fixed coordinate: center minus center, over inf
     with np.errstate(over="ignore"):  # the evaluator reports a non-finite quotient

@@ -1,8 +1,14 @@
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+# read-only, as tools/bitwise_corpus.py imports the benchmark's workloads
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import rosenbrock, rosenbrock_gradient  # noqa: E402
 
 # property tests draw the same examples on every run and keep tier-1 fast
 settings.register_profile("paropt", derandomize=True, database=None, deadline=None,
@@ -29,24 +35,11 @@ def counted():
     return wrap
 
 
-def _chained_rosenbrock(x):
-    r = x[1:] - x[:-1] ** 2
-    return float(np.sum(100.0 * r * r + (1.0 - x[:-1]) ** 2))
-
-
-def _chained_rosenbrock_gradient(x):
-    r = x[1:] - x[:-1] ** 2
-    g = np.zeros_like(x)
-    g[:-1] = -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
-    g[1:] += 200.0 * r
-    return g
-
-
 @pytest.fixture
 def chained_rosenbrock():
     """Rosenbrock chained over any dimension, minimum 0 at all ones, and its
     gradient."""
-    return _chained_rosenbrock, _chained_rosenbrock_gradient
+    return rosenbrock, rosenbrock_gradient
 
 
 @pytest.fixture

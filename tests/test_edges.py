@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from paropt import (BenchConfig, ConfigError, CoupledEvaluator, IterationLog,
-                    build_stencil, check_gradient, gen_normal_dataset, get_problem,
-                    optimize, sleep_problem)
+                    check_gradient, gen_normal_dataset, get_problem, optimize,
+                    sleep_problem)
 from paropt.cli import main
 
 from objectives import sum_sq, sum_sq_grad
@@ -48,7 +48,6 @@ CHOICES = {
     "method": lambda: optimize(sum_sq, [1.0], method="newton"),
     "scheme": lambda: optimize(sum_sq, [1.0], scheme="backward"),
     "evaluator scheme": lambda: CoupledEvaluator(sum_sq, 1, scheme="backward"),
-    "stencil scheme": lambda: build_stencil([1.0], 1e-3, scheme="backward"),
     "bench mode": lambda: BenchConfig(modes=("serial_analytic", "warp")).validated(),
     "problem": lambda: get_problem("banana"),
 }

@@ -1,7 +1,9 @@
 """End-to-end optimization behavior for the three methods."""
 
+import collections
 import concurrent.futures
 import math
+import sys
 import time
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from paropt import (ConfigError, CoupledEvaluator, EvaluationError, IterationLog,
-                    OptimOptions, WorkerPool, build_stencil, optimize, stencil)
+                    OptimOptions, WorkerPool, build_stencil, errors, optimize, stencil)
 from paropt.errors import NonFiniteError
 from paropt.optimizers import (LineSearchFailure, cg_direction, driver, linesearch,
                                wolfe_line_search)
@@ -261,7 +263,8 @@ def test_counts_follow_the_count_laws(case, counted):
             assert c.gr_calls == 0
             if lower is None:
                 assert c.fn_calls == (1 + (2 if kind == "central" else 1) * p) * c.batches
-            assert c.fn_calls == sum(len(build_stencil(x, eps, kind, lower, upper).points)
+            h, box = stencil.validate_eps(eps, p), stencil.validate_bounds(lower, upper, p)
+            assert c.fn_calls == sum(len(build_stencil(x, h, kind, *box).points)
                                      for x in misses)
         runs.append(c)
     assert all(c == runs[0] for c in runs)
@@ -679,19 +682,45 @@ BOX_STEPS = [(driver, "active_mask"), (linesearch, "max_feasible_step"),
 @pytest.mark.parametrize("box", [{}, {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]}],
                          ids=["unbounded", "bounded"])
 def test_only_a_solve_with_a_box_runs_the_box_arithmetic(monkeypatch, box):
-    # analytic, since build_stencil checks its center on every batch, box or not
     calls = dict.fromkeys([name for _, name in BOX_STEPS], 0)
     for module, name in BOX_STEPS:
         def counting(*args, _step=getattr(module, name), _name=name):
             calls[_name] += 1
             return _step(*args)
         monkeypatch.setattr(module, name, counting)
-    r = optimize(rosen, [-1.2, 1.0], rosen_grad, **box)
-    assert r.converged
-    if box:
-        assert all(calls.values()), calls
-    else:
-        assert not any(calls.values()), calls
+    for gradient in (rosen_grad, None):  # analytic, then central differences
+        r = optimize(rosen, [-1.2, 1.0], gradient, **box)
+        assert r.converged
+        if box:
+            assert all(calls.values()), calls
+        else:
+            assert not any(calls.values()), calls
+        calls.update(dict.fromkeys(calls, 0))
+
+
+def test_a_difference_solve_checks_its_inputs_once(monkeypatch):
+    # the evaluator checks eps, the bounds and the scheme when it is built,
+    # and no batch checks them again
+    calls = collections.Counter()
+    for name in ("validate_eps", "validate_bounds"):
+        def counting(*args, _check=getattr(stencil, name), _name=name):
+            calls[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(stencil, name, counting)
+
+    original = errors.check_choice
+
+    def choice(name, value, allowed):
+        calls[name] += 1
+        return original(name, value, allowed)
+    for module in list(sys.modules.values()):  # wherever the package imported it
+        if (getattr(module, "__name__", "").startswith("paropt.")
+                and getattr(module, "check_choice", None) is original):
+            monkeypatch.setattr(module, "check_choice", choice)
+    r = optimize(rosen, [-1.2, 1.0])
+    assert r.converged and r.counts.batches > 1
+    assert [calls[name] for name in ("validate_eps", "validate_bounds",
+                                     "difference scheme")] == [1, 1, 1], calls
 
 
 def on_a_copy(f):

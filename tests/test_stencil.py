@@ -12,9 +12,16 @@ from paropt.stencil import (CENTRAL, FORWARD, SCHEMES, as_parameter_vector,
                             validate_eps)
 
 
+def stencil_at(center, eps, scheme=CENTRAL, lower=None, upper=None):
+    """build_stencil on its inputs validated as CoupledEvaluator validates them."""
+    x = as_parameter_vector(center)
+    return build_stencil(x, validate_eps(eps, x.size), scheme,
+                         *validate_bounds(lower, upper, x.size))
+
+
 def test_central_point_count_and_order():
     x = np.array([1.0, 2.0, 3.0])
-    st = build_stencil(x, 1e-3)
+    st = stencil_at(x, 1e-3)
     assert st.points.shape == (7, 3) and st.points.dtype == np.float64
     assert np.array_equal(st.points[0], x)
     # per coordinate ascending, plus row before minus row
@@ -23,7 +30,7 @@ def test_central_point_count_and_order():
 
 
 def test_forward_point_count():
-    st = build_stencil(np.array([1.0, 2.0]), 1e-3, scheme=FORWARD)
+    st = stencil_at(np.array([1.0, 2.0]), 1e-3, scheme=FORWARD)
     assert st.points.shape == (3, 2)
     assert st.plus_index.tolist() == [1, 2]
     assert st.minus_index.tolist() == [0, 0]  # no minus rows
@@ -31,7 +38,7 @@ def test_forward_point_count():
 
 def test_points_displace_exactly_one_coordinate():
     x = np.array([0.5, -1.5])
-    st = build_stencil(x, 1e-3)
+    st = stencil_at(x, 1e-3)
     for i in range(x.size):
         for row, sign in ((st.plus_index[i], 1.0), (st.minus_index[i], -1.0)):
             diff = st.points[row] - x
@@ -40,7 +47,7 @@ def test_points_displace_exactly_one_coordinate():
 
 
 def test_scalar_eps_broadcasts_and_vector_eps_applies_per_coordinate():
-    st = build_stencil(np.array([1.0, 1.0]), [1e-3, 1e-2])
+    st = stencil_at(np.array([1.0, 1.0]), [1e-3, 1e-2])
     assert st.h_plus.tolist() == [1e-3, 1e-2]
     assert st.plus_index[1] == 3
     assert st.points[3, 1] == pytest.approx(1.01)
@@ -48,7 +55,7 @@ def test_scalar_eps_broadcasts_and_vector_eps_applies_per_coordinate():
 
 def test_clamp_at_bound_drops_side_and_reads_center():
     # no room above: the quotient becomes a backward difference
-    st = build_stencil(np.array([1.0]), 1e-3, upper=[1.0])
+    st = stencil_at(np.array([1.0]), 1e-3, upper=[1.0])
     assert st.h_plus[0] == 0.0
     assert st.h_minus[0] == pytest.approx(1e-3)
     assert len(st.points) == 2
@@ -56,21 +63,21 @@ def test_clamp_at_bound_drops_side_and_reads_center():
 
 
 def test_partial_clamp_keeps_points_inside():
-    st = build_stencil(np.array([0.9995]), 1e-3, upper=[1.0])
+    st = stencil_at(np.array([0.9995]), 1e-3, upper=[1.0])
     assert st.h_plus[0] == pytest.approx(0.0005)
     assert np.all(st.points[:, 0] <= 1.0)
 
 
 def test_forward_falls_back_to_backward_at_bound():
-    st = build_stencil(np.array([1.0]), 1e-3, scheme=FORWARD, upper=[1.0])
+    st = stencil_at(np.array([1.0]), 1e-3, scheme=FORWARD, upper=[1.0])
     assert st.h_plus[0] == 0.0
     assert st.h_minus[0] > 0.0
 
 
 def test_fixed_coordinate_gets_no_point_and_a_zero_quotient():
     for scheme in SCHEMES:
-        st = build_stencil(np.array([0.5, 0.5]), 1e-3, scheme=scheme,
-                           lower=[0.0, 0.5], upper=[1.0, 0.5])
+        st = stencil_at(np.array([0.5, 0.5]), 1e-3, scheme=scheme,
+                        lower=[0.0, 0.5], upper=[1.0, 0.5])
         assert np.all(st.points[:, 1] == 0.5)
         assert st.plus_index[1] == st.minus_index[1] == 0  # no row of its own
         assert len(st.points) == 1 + np.count_nonzero([st.plus_index[0], st.minus_index[0]])
@@ -78,25 +85,15 @@ def test_fixed_coordinate_gets_no_point_and_a_zero_quotient():
         assert assemble_gradient(values, st)[1][1] == 0.0
 
 
-def test_center_outside_bounds_raises():
-    with pytest.raises(ConfigError):
-        build_stencil(np.array([2.0]), 1e-3, upper=[1.0])
-
-
-def test_unknown_scheme_raises():
-    with pytest.raises(ConfigError):
-        build_stencil(np.array([1.0]), 1e-3, scheme="sideways")
-
-
 def test_assemble_known_values():
-    st = build_stencil(np.array([3.0]), 1e-3)
+    st = stencil_at(np.array([3.0]), 1e-3)
     value, grad = assemble_gradient([9.0, 9.006001, 8.994001], st)
     assert value == 9.0
     assert grad[0] == pytest.approx(6.0, abs=1e-9)
 
 
 def test_assemble_exact_on_quadratic():
-    st = build_stencil(np.array([3.0]), 1e-3)
+    st = stencil_at(np.array([3.0]), 1e-3)
     vals = [float(row @ row) for row in st.points]
     value, grad = assemble_gradient(vals, st)
     assert value == 9.0
@@ -105,16 +102,10 @@ def test_assemble_exact_on_quadratic():
 
 def test_one_sided_quotient_uses_center_value():
     # x^2 pinned at upper bound 1: (f(1) - f(0.999)) / 0.001
-    st = build_stencil(np.array([1.0]), 1e-3, upper=[1.0])
+    st = stencil_at(np.array([1.0]), 1e-3, upper=[1.0])
     vals = [float(row @ row) for row in st.points]
     _, grad = assemble_gradient(vals, st)
     assert grad[0] == pytest.approx((1.0 - 0.999 ** 2) / 1e-3)
-
-
-def test_assemble_rejects_wrong_value_count():
-    st = build_stencil(np.array([3.0]), 1e-3)
-    with pytest.raises(DimensionError):
-        assemble_gradient([9.0, 9.1], st)
 
 
 def test_parameter_vector_validation():
@@ -258,9 +249,8 @@ def evaluator_at(center, eps=1e-3, lower=None, upper=None, gradient=None):
 
 
 # (center, eps, lower, upper) -> the one message each input fault raises,
-# checked where it enters: build_stencil, an evaluator of each gradient kind
-# and, unless the center lies outside the box (optimize moves a start into
-# it), optimize
+# checked where it enters: an evaluator of each gradient kind and, unless the
+# center lies outside the box (optimize moves a start into it), optimize
 FAULTS = [
     (([0.5, 0.5], 1e-3, [np.nan, 0.0], None), "bounds must not contain NaN"),
     (([0.5, 0.5], 1e-3, [0.0, 2.0], [np.nan, 1.0]), "bounds must not contain NaN"),
@@ -290,8 +280,7 @@ FAULTS = [
 @pytest.mark.parametrize("case, message", FAULTS)
 def test_each_input_fault_raises_its_own_message(case, message):
     center, eps, lower, upper = case
-    entries = [lambda: build_stencil(np.array(center), eps, CENTRAL, lower, upper),
-               lambda: evaluator_at(center, eps, lower, upper),
+    entries = [lambda: evaluator_at(center, eps, lower, upper),
                lambda: evaluator_at(center, eps, lower, upper, gradient=lambda x: 2 * x)]
     if not message.startswith("center outside"):
         entries.append(lambda: optimize(lambda x: float(x @ x), center, eps=eps,
